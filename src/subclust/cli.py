@@ -175,6 +175,10 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
         p = cfg.p
         if not 1 <= p <= n:
             raise UsageError(f"--p must lie in [1, {n}], got {p}")
+    if not 1 <= cfg.k <= p:
+        raise UsageError(
+            f"--k must lie in [1, {p}], the number of in-sample points, got {cfg.k}"
+        )
 
     t0 = time.perf_counter()
     split = dataio.uniform_split(n, p, cfg.seed)

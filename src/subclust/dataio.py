@@ -71,11 +71,13 @@ def load_csv(path, has_header: bool = False) -> DataMatrix:
     Returns a DataMatrix whose columns are the file's rows, so the result
     has shape (file column count, file row count).
 
-    Raises DataFormatError on ragged rows or non-numeric cells; the message
-    names the offending data row (1-based, header excluded) and column.
+    Raises DataFormatError on ragged rows, non-numeric cells and non-finite
+    values (nan, inf); the message names the offending data row (1-based,
+    header excluded) and column.
     """
     path = Path(path)
     rows = []
+    row_numbers = []
     expected = None
     with open(path, newline="") as fh:
         reader = csv.reader(fh)
@@ -92,6 +94,7 @@ def load_csv(path, has_header: bool = False) -> DataMatrix:
                 )
             try:
                 rows.append([float(cell) for cell in row])
+                row_numbers.append(i)
             except ValueError:
                 for j, cell in enumerate(row, start=1):
                     try:
@@ -103,7 +106,14 @@ def load_csv(path, has_header: bool = False) -> DataMatrix:
                         ) from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
-    return DataMatrix(np.asarray(rows, dtype=float).T)
+    values = np.asarray(rows, dtype=float)
+    if not np.isfinite(values).all():
+        r, j = np.argwhere(~np.isfinite(values))[0]
+        raise DataFormatError(
+            f"{path}: row {row_numbers[r]}, column {j + 1}: "
+            f"{values[r, j]} is not a finite number"
+        )
+    return DataMatrix(values.T)
 
 
 def load_labels(path) -> np.ndarray:

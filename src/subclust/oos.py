@@ -4,18 +4,19 @@ the class with the smallest (regularized) reconstruction residual.
 Ridge coding uses the closed form c = (X^T X + gamma I)^{-1} X^T x, cached
 as a projector built from one SPD factorization. Sparse coding delegates to
 the l1 solver (without any zero-diagonal constraint, since the query point
-is not in the dictionary).
+is not in the dictionary); a batch prepares the dictionary's Gram matrix and
+step bound once for all its queries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from .errors import UnassignableSampleError
-from .sparse_coding import SparseSelfRepConfig, solve_lasso
+from .sparse_coding import SparseSelfRepConfig, lasso_dictionary, solve_lasso
 from .types import ClusterAssignment, DataMatrix
 
 # queries are processed in fixed-size column blocks so the working set stays
@@ -92,14 +93,13 @@ def sparse_code_oos(
         raise ValueError(
             f"query has length {xbar.size}, dictionary rows {dictionary.X.m}"
         )
-    if cfg is None:
-        cfg = SparseSelfRepConfig(delta=delta)
-    else:
-        cfg = SparseSelfRepConfig(
-            lam=cfg.lam, delta=delta,
-            max_iterations=cfg.max_iterations, kkt_tol=cfg.kkt_tol,
-        )
+    cfg = _query_config(delta, cfg)
     return solve_lasso(dictionary.X, xbar, cfg.lam, cfg).coefficients
+
+
+def _query_config(delta: float, cfg: SparseSelfRepConfig | None) -> SparseSelfRepConfig:
+    """The l1 config for out-of-sample queries: ``cfg`` with ``delta`` swapped in."""
+    return SparseSelfRepConfig(delta=delta) if cfg is None else replace(cfg, delta=delta)
 
 
 def class_residuals(
@@ -179,9 +179,11 @@ def code_batch(
             codes[:, s : s + block.shape[1]] = dictionary.projector @ block
         return codes
     if mode == "sparse":
+        cfg = _query_config(delta, cfg)
+        prep = lasso_dictionary(dictionary.X)
         codes = np.empty((dictionary.p, V.shape[1]))
         for j in range(V.shape[1]):
-            codes[:, j] = sparse_code_oos(dictionary, V[:, j], delta, cfg)
+            codes[:, j] = solve_lasso(prep, V[:, j], cfg.lam, cfg).coefficients
         return codes
     raise ValueError(f"mode must be 'ridge' or 'sparse', got {mode!r}")
 

@@ -8,6 +8,13 @@ i.e. the fidelity term carries the weight. Internally this is handled in
 the standard form (1/2)||y - D c||_2^2 + tau ||c||_1 with the effective
 l1 weight tau = 1 / (2 * lam); the null-code condition is then exact:
 c = 0 is optimal iff ||D^T y||_inf <= tau.
+
+Everything the solver needs from the dictionary alone, the Gram matrix
+D^T D and the exact step bound ||D||_2^2, is computed once per dictionary
+(``lasso_dictionary``) and shared by every problem solved over it: all
+columns of a self-representation, or all out-of-sample queries. The zero
+diagonal of a self-representation is enforced by clamping the excluded
+coefficient to zero, not by copying the dictionary with that column zeroed.
 """
 
 from __future__ import annotations
@@ -16,6 +23,7 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
+from scipy.linalg import eigvalsh
 
 from .types import DataMatrix, SolverReport
 
@@ -71,24 +79,41 @@ def soft_threshold(x, tau):
     return np.sign(x) * np.maximum(np.abs(x) - tau, 0.0)
 
 
-def spectral_norm_sq(D: np.ndarray, iterations: int = 50, tol: float = 1e-8) -> float:
-    """Largest eigenvalue of D^T D by power iteration."""
-    p = D.shape[1]
-    # mild tilt so the start vector is never orthogonal to the top eigenvector
-    v = 1.0 + 1e-3 * np.arange(p)
-    v /= np.linalg.norm(v)
-    value = 0.0
-    for _ in range(iterations):
-        w = D.T @ (D @ v)
-        nrm = float(np.linalg.norm(w))
-        if nrm <= 1e-300:
-            return 0.0
-        v = w / nrm
-        if abs(nrm - value) <= tol * nrm:
-            value = nrm
-            break
-        value = nrm
-    return value
+@dataclass(frozen=True)
+class LassoDictionary:
+    """A lasso dictionary with the work every problem over it shares.
+
+    D          (m, p) dictionary
+    gram       D^T D on the Gram path (p <= 2m and p <= 4096), else None
+    lipschitz  step bound: the solver steps 1/lipschitz, which is valid for
+               any value >= ||D||_2^2 (Beck & Teboulle 2009)
+    """
+
+    D: np.ndarray
+    gram: np.ndarray | None
+    lipschitz: float
+
+
+def lasso_dictionary(dictionary) -> LassoDictionary:
+    """Form the Gram matrix (when it pays) and ||D||_2^2 once for ``dictionary``.
+
+    Zeroing a column of D cannot raise its spectral norm, so the result also
+    serves every problem that excludes one column (``solve_lasso(exclude=i)``).
+    """
+    D = dictionary.values if isinstance(dictionary, DataMatrix) else np.asarray(dictionary, dtype=float)
+    if D.ndim != 2:
+        raise ValueError("dictionary must be a matrix")
+    m, p = D.shape
+    gram = D.T @ D if p <= 2 * m and p <= 4096 else None
+    return LassoDictionary(D, gram, spectral_norm_sq(D, gram))
+
+
+def spectral_norm_sq(D: np.ndarray, gram: np.ndarray | None = None) -> float:
+    """||D||_2^2, the largest eigenvalue of D^T D (``gram`` when given)."""
+    if gram is not None:
+        p = gram.shape[0]
+        return max(float(eigvalsh(gram, subset_by_index=[p - 1, p - 1])[0]), 0.0)
+    return float(np.linalg.norm(D, 2)) ** 2
 
 
 def kkt_violation(correlations: np.ndarray, c: np.ndarray, tau: float) -> float:
@@ -106,15 +131,21 @@ def kkt_violation(correlations: np.ndarray, c: np.ndarray, tau: float) -> float:
     return v / tau
 
 
-def solve_lasso(dictionary, y, lam: float, cfg: SparseSelfRepConfig | None = None) -> SparseCode:
+def solve_lasso(
+    dictionary, y, lam: float, cfg: SparseSelfRepConfig | None = None,
+    exclude: int | None = None,
+) -> SparseCode:
     """Minimize lam * ||y - D c||_2^2 + ||c||_1 by accelerated proximal descent.
 
     Parameters
     ----------
-    dictionary : DataMatrix or (m, p) ndarray
+    dictionary : LassoDictionary, DataMatrix or (m, p) ndarray; anything but
+        a LassoDictionary is prepared with ``lasso_dictionary`` on each call
     y : (m,) target vector
     lam : positive fidelity weight
     cfg : stopping parameters; ``cfg.lam`` is ignored in favor of ``lam``
+    exclude : column index whose coefficient is held at exactly zero; the
+        result is the solution over D with that column zeroed
 
     Returns
     -------
@@ -122,15 +153,16 @@ def solve_lasso(dictionary, y, lam: float, cfg: SparseSelfRepConfig | None = Non
     report whose ``converged`` flag means the stationarity conditions hold
     at cfg.kkt_tol (or the data residual fell below cfg.delta).
     """
-    D = dictionary.values if isinstance(dictionary, DataMatrix) else np.asarray(dictionary, dtype=float)
+    prep = dictionary if isinstance(dictionary, LassoDictionary) else lasso_dictionary(dictionary)
+    D = prep.D
     y = np.asarray(y, dtype=float).ravel()
-    if D.ndim != 2:
-        raise ValueError("dictionary must be a matrix")
     m, p = D.shape
     if y.size != m:
         raise ValueError(f"dictionary has {m} rows but y has length {y.size}")
     if lam <= 0:
         raise ValueError(f"lam must be positive, got {lam}")
+    if exclude is not None and not 0 <= exclude < p:
+        raise ValueError(f"exclude must lie in [0, {p}), got {exclude}")
     if cfg is None:
         cfg = SparseSelfRepConfig(lam=lam)
 
@@ -153,6 +185,8 @@ def solve_lasso(dictionary, y, lam: float, cfg: SparseSelfRepConfig | None = Non
     if cfg.delta > 0 and float(np.linalg.norm(y)) <= cfg.delta:
         return finish(np.zeros(p), 0, True)  # zero already meets the tolerance
     b = D.T @ y
+    if exclude is not None:
+        b[exclude] = 0.0
     scale = float(np.max(np.abs(b)))
     if scale <= tau:
         return finish(np.zeros(p), 0, True)  # below the null-code threshold
@@ -161,15 +195,14 @@ def solve_lasso(dictionary, y, lam: float, cfg: SparseSelfRepConfig | None = Non
     # initial correlation scale, so tiny tau does not demand absurd precision
     denom = max(tau, scale)
 
-    use_gram = p <= 2 * m and p <= 4096
+    G = prep.gram
+    use_gram = G is not None
     if use_gram:
-        G = D.T @ D
         yty = float(y @ y)
 
-    L = spectral_norm_sq(D) * 1.01  # headroom for power-iteration underestimate
-    if L <= 0.0:
+    if prep.lipschitz <= 0.0:
         return finish(np.zeros(p), 0, True)
-    step = 1.0 / L
+    step = 1.0 / prep.lipschitz
     thr = step * tau
 
     x = np.zeros(p)
@@ -181,6 +214,8 @@ def solve_lasso(dictionary, y, lam: float, cfg: SparseSelfRepConfig | None = Non
     for it in range(1, cfg.max_iterations + 1):
         grad = (G @ z - b) if use_gram else (D.T @ (D @ z - y))
         x_new = soft_threshold(z - step * grad, thr)
+        if exclude is not None:
+            x_new[exclude] = 0.0
         t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
         z = x_new + ((t - 1.0) / t_new) * (x_new - x)
         x, t = x_new, t_new
@@ -193,6 +228,8 @@ def solve_lasso(dictionary, y, lam: float, cfg: SparseSelfRepConfig | None = Non
                 r = y - D @ x
                 corr = D.T @ r
                 res = float(np.linalg.norm(r))
+            if exclude is not None:
+                corr[exclude] = 0.0
             viol = kkt_violation(corr, x, tau) * tau / denom
             if viol <= cfg.kkt_tol:
                 converged = True
@@ -208,6 +245,10 @@ def sparse_self_representation(Y, cfg: SparseSelfRepConfig | None = None, return
 
     Column i is the solution of the l1 problem with dictionary Y_i, which is
     Y with column i replaced by zeros, so no column ever represents itself.
+    Y's Gram matrix and step bound ||Y||_2^2 are computed once and serve
+    every column, since zeroing a column cannot raise the spectral norm;
+    column i's problem is solved over Y with its own coefficient clamped to
+    zero (``exclude=i``), which is the same problem without a copy of Y.
     The per-column problems are independent and write disjoint columns, so
     they could run in any order (or concurrently) with identical output.
 
@@ -223,16 +264,13 @@ def sparse_self_representation(Y, cfg: SparseSelfRepConfig | None = None, return
     n = Y.n
     C = np.zeros((n, n))
     reports = []
-    values = Y.values
+    prep = lasso_dictionary(Y)
     for i in range(n):
-        Di = values.copy()
-        Di[:, i] = 0.0
         try:
-            code = solve_lasso(Di, values[:, i], cfg.lam, cfg)
+            code = solve_lasso(prep, prep.D[:, i], cfg.lam, cfg, exclude=i)
         except ValueError as exc:
             raise ValueError(f"column {i}: {exc}") from exc
         C[:, i] = code.coefficients
-        C[i, i] = 0.0
         reports.append(code.report)
     if return_reports:
         return C, reports

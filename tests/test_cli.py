@@ -188,6 +188,35 @@ def test_cluster_bad_csv_is_data_error(tmp_path):
     assert rc == 2
 
 
+@pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
+def test_cluster_non_finite_csv_is_data_error(tmp_path, capsys, cell):
+    bad = tmp_path / "bad.csv"
+    bad.write_text(f"1,2\n3,4\n5,{cell}\n")
+    rc = run_cli(
+        "cluster", "--algorithm", "sssc", "--input", str(bad),
+        "--k", "2", "--p", "2", "--seed", "0",
+        "--output", str(tmp_path / "x.json"),
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "row 3, column 2" in err
+
+
+def test_cluster_k_above_p_is_usage_error(tmp_path, synth_files, capsys):
+    data, _ = synth_files
+    out = tmp_path / "x.json"
+    rc = run_cli(
+        "cluster", "--algorithm", "sssc", "--input", str(data),
+        "--k", "3", "--p", "2", "--seed", "0", "--output", str(out),
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert "--k" in err
+    assert not out.exists()
+
+
 def test_cluster_non_convergence_exits_3_with_report(tmp_path, synth_files):
     data, _ = synth_files
     out = tmp_path / "nc.json"

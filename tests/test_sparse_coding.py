@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -7,6 +9,7 @@ from oracles import lasso_objective, subgradient_lasso
 from subclust.dataio import synth_subspaces
 from subclust.sparse_coding import (
     SparseSelfRepConfig,
+    lasso_dictionary,
     soft_threshold,
     solve_lasso,
     sparse_self_representation,
@@ -199,11 +202,35 @@ def test_columns_match_direct_solver_calls():
     Y = rng.standard_normal((6, 10))
     cfg = strict_cfg(0.05)
     C = sparse_self_representation(Y, cfg)
+    # every column steps by Y's bound, so the direct call is handed that bound
+    lipschitz = lasso_dictionary(Y).lipschitz
     for i in range(10):
         Di = Y.copy()
         Di[:, i] = 0.0
-        direct = solve_lasso(Di, Y[:, i], cfg.lam, cfg)
+        prep = replace(lasso_dictionary(Di), lipschitz=lipschitz)
+        direct = solve_lasso(prep, Y[:, i], cfg.lam, cfg)
         np.testing.assert_allclose(C[:, i], direct.coefficients, rtol=0, atol=1e-10)
+
+
+@pytest.mark.parametrize("shape", [(6, 10), (4, 12)])  # Gram path, then not
+def test_shared_bound_columns_match_copied_dictionary_path(shape):
+    # the path the shared bound replaced: copy Y with column i zeroed and let
+    # the solver bound that copy's own spectral norm
+    rng = np.random.default_rng(12)
+    Y = rng.standard_normal(shape)
+    tau = 0.05
+    C = sparse_self_representation(Y, strict_cfg(tau))
+    for i in range(shape[1]):
+        Di = Y.copy()
+        Di[:, i] = 0.0
+        c = C[:, i]
+        corr = Di.T @ (Y[:, i] - Di @ c)
+        slack = 1e-4
+        on = c != 0
+        assert np.all(np.abs(corr) <= tau * (1.0 + slack))
+        assert np.all(np.abs(corr[on] - tau * np.sign(c[on])) <= tau * slack)
+        old = solve_lasso(Di, Y[:, i], 1.0 / (2.0 * tau), strict_cfg(tau))
+        np.testing.assert_allclose(c, old.coefficients, rtol=0, atol=1e-6)
 
 
 def test_diagonal_is_exactly_zero():
