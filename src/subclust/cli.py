@@ -157,7 +157,22 @@ def _lrr_config(cfg: RunConfig) -> LrrConfig:
 
 def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | None = None) -> RunReport:
     """Run the configured pipeline on an in-memory matrix."""
+    # solver knobs are checked before any solve, so a bad value is a
+    # one-line usage error instead of a traceback from deep inside a solver
+    if not cfg.lam > 0:
+        raise UsageError(f"--lambda must be positive, got {cfg.lam}")
+    try:
+        lasso_cfg = _lasso_config(cfg)
+        lrr_cfg = _lrr_config(cfg) if cfg.algorithm in ("slrr", "lrr") else None
+    except ValueError as exc:
+        raise UsageError(f"invalid solver setting: {exc}") from None
+    if not cfg.gamma > 0:
+        raise UsageError(f"--gamma must be positive, got {cfg.gamma}")
+    if cfg.restarts < 1:
+        raise UsageError(f"--restarts must be >= 1, got {cfg.restarts}")
     if cfg.pca_energy is not None:
+        if not 0.0 < cfg.pca_energy <= 1.0:
+            raise UsageError(f"--pca-energy must lie in (0, 1], got {cfg.pca_energy}")
         data = dataio.pca_retain_energy(data, cfg.pca_energy)
     n = data.n
     full_data = cfg.algorithm in ("ssc", "lrr")
@@ -175,6 +190,8 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
         p = cfg.p
         if not 1 <= p <= n:
             raise UsageError(f"--p must lie in [1, {n}], got {p}")
+    if p < 2:
+        raise UsageError(f"self-representation needs at least 2 in-sample points, got {p}")
     if not 1 <= cfg.k <= p:
         raise UsageError(
             f"--k must lie in [1, {p}], the number of in-sample points, got {cfg.k}"
@@ -189,7 +206,7 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
     excluded: list = []
     lrr_error = None
     if cfg.algorithm in ("sssc", "ssc"):
-        C, reports = sparse_self_representation(X, _lasso_config(cfg), return_reports=True)
+        C, reports = sparse_self_representation(X, lasso_cfg, return_reports=True)
         n_conv = sum(r.converged for r in reports)
         solver = {
             "type": "lasso",
@@ -200,7 +217,7 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
         }
         converged = n_conv == len(reports)
     else:
-        solution = solve_lrr(X, _lrr_config(cfg))
+        solution = solve_lrr(X, lrr_cfg)
         C = solution.C
         lrr_error = solution.E
         solver = {
@@ -239,7 +256,7 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
         regularized = cfg.oos_coding == "ridge"
         codes = oos.code_batch(
             dictionary, Xbar, mode=cfg.oos_coding,
-            delta=cfg.delta, cfg=_lasso_config(cfg),
+            delta=cfg.delta, cfg=lasso_cfg,
         )
         t_coding = time.perf_counter()
         labels_out = oos.classify_codes(dictionary, Xbar, codes, regularized=regularized)

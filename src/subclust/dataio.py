@@ -7,6 +7,7 @@ All stochastic operations take one explicit integer seed.
 from __future__ import annotations
 
 import csv
+import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
 
@@ -74,8 +75,29 @@ def load_csv(path, has_header: bool = False) -> DataMatrix:
     Raises DataFormatError on ragged rows, non-numeric cells and non-finite
     values (nan, inf); the message names the offending data row (1-based,
     header excluded) and column.
+
+    Well-formed files are read by ``numpy.loadtxt``. Anything it rejects,
+    and any non-finite value, is re-read by the cell-by-cell parser, the
+    only source of the row/column messages and of its laxer syntax (quoted
+    cells, blank cells on blank lines, digit underscores).
     """
     path = Path(path)
+    try:
+        with warnings.catch_warnings():
+            # an empty file is left to the parser, which names it
+            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
+            values = np.loadtxt(
+                path, delimiter=",", ndmin=2, comments=None, skiprows=int(has_header)
+            )
+    except ValueError:
+        values = np.empty((0, 0))
+    if values.size == 0 or not np.isfinite(values).all():
+        values = _parse_csv(path, has_header)
+    return DataMatrix(values.T)
+
+
+def _parse_csv(path: Path, has_header: bool) -> np.ndarray:
+    """Cell-by-cell CSV parse; raises DataFormatError naming row and column."""
     rows = []
     row_numbers = []
     expected = None
@@ -113,7 +135,7 @@ def load_csv(path, has_header: bool = False) -> DataMatrix:
             f"{path}: row {row_numbers[r]}, column {j + 1}: "
             f"{values[r, j]} is not a finite number"
         )
-    return DataMatrix(values.T)
+    return values
 
 
 def load_labels(path) -> np.ndarray:

@@ -5,6 +5,11 @@ norm chosen among column-wise l2 (``l21``), entrywise l1 (``l1``) and
 squared Frobenius (``fro``). A splitting variable J with C = J keeps every
 subproblem in closed form: J is updated by singular value thresholding,
 C by one SPD solve, E by the prox of the chosen norm.
+
+The minimizer lies in the row space of Y (Liu et al., "Robust Recovery of
+Subspace Structures by Low-Rank Representation", TPAMI 2013), so the ALM
+runs there: r x p iterates with r = rank(Y) <= min(m, p), an r x p SVD and
+an r x r system per iteration instead of p x p ones.
 """
 
 from __future__ import annotations
@@ -29,7 +34,6 @@ class LrrConfig:
     mu_max: float = 1e10
     constraint_tol: float = 1e-7
     max_iterations: int = 500
-    rank_bound: int | None = None
 
     def __post_init__(self):
         if self.lam <= 0:
@@ -46,8 +50,6 @@ class LrrConfig:
             raise ValueError("constraint_tol must be positive")
         if self.max_iterations < 1:
             raise ValueError("max_iterations must be >= 1")
-        if self.rank_bound is not None and self.rank_bound < 1:
-            raise ValueError("rank_bound must be >= 1 when given")
 
 
 @dataclass(frozen=True)
@@ -61,28 +63,18 @@ class LrrSolution:
     objective_trace: list | None = None
 
 
-def svt(M: np.ndarray, tau: float, rank_bound: int | None = None) -> np.ndarray:
-    """Singular value thresholding: U max(S - tau, 0) V^T.
-
-    ``rank_bound`` switches to a truncated SVD when it is small enough to
-    pay off; the default is a full decomposition.
-    """
+def svt(M: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
+    """Singular value thresholding: U max(S - tau, 0) V^T, plus its nuclear
+    norm (the sum of the shrunk spectrum)."""
     if tau < 0:
         raise ValueError(f"tau must be nonnegative, got {tau}")
     M = np.asarray(M, dtype=float)
-    if rank_bound is not None and rank_bound < min(M.shape) - 1:
-        from scipy.sparse.linalg import svds
-
-        U, s, Vt = svds(M, k=rank_bound, v0=np.ones(min(M.shape)))
-        order = np.argsort(s)[::-1]
-        U, s, Vt = U[:, order], s[order], Vt[order]
-    else:
-        U, s, Vt = np.linalg.svd(M, full_matrices=False)
+    U, s, Vt = np.linalg.svd(M, full_matrices=False)
     shrunk = np.maximum(s - tau, 0.0)
     keep = shrunk > 0
     if not np.any(keep):
-        return np.zeros_like(M)
-    return (U[:, keep] * shrunk[keep]) @ Vt[keep]
+        return np.zeros_like(M), 0.0
+    return (U[:, keep] * shrunk[keep]) @ Vt[keep], float(shrunk.sum())
 
 
 def l21_shrink(M: np.ndarray, tau: float) -> np.ndarray:
@@ -95,19 +87,6 @@ def l21_shrink(M: np.ndarray, tau: float) -> np.ndarray:
     nz = norms > tau
     scale[nz] = 1.0 - tau / norms[nz]
     return M * scale
-
-
-def _svt_with_norm(B: np.ndarray, tau: float, rank_bound: int | None):
-    """svt plus the nuclear norm of the result (free from the shrunk spectrum)."""
-    if rank_bound is not None:
-        J = svt(B, tau, rank_bound)
-        return J, float(np.linalg.svd(J, compute_uv=False).sum())
-    U, s, Vt = np.linalg.svd(B, full_matrices=False)
-    shrunk = np.maximum(s - tau, 0.0)
-    keep = shrunk > 0
-    if not np.any(keep):
-        return np.zeros_like(B), 0.0
-    return (U[:, keep] * shrunk[keep]) @ Vt[keep], float(shrunk.sum())
 
 
 def _error_prox(M: np.ndarray, norm: str, lam: float, mu: float) -> np.ndarray:
@@ -130,6 +109,12 @@ def _error_value(E: np.ndarray, norm: str) -> float:
 def solve_lrr(Y, cfg: LrrConfig | None = None, track_objective: bool = False) -> LrrSolution:
     """Inexact-ALM solve of min ||C||_* + lam*||E||_err s.t. Y = YC + E.
 
+    The iteration runs over A = YQ, Q the row-space basis of Y: C~, J~
+    and the multiplier of C~ = J~ are r x p, the C-update solves the r x r
+    system I + A^T A, and C = Q C~ is returned. All iterates start at zero
+    and every update stays in range(Q), so iterates, iteration count, E and
+    objective are those of the p x p iteration up to rounding.
+
     Stops when both the constraint residual ||Y - YC - E||_F and the
     splitting residual ||C - J||_F fall below
     constraint_tol * max(1, ||Y||_F). Hitting max_iterations returns the
@@ -151,17 +136,22 @@ def solve_lrr(Y, cfg: LrrConfig | None = None, track_objective: bool = False) ->
     y_scale = max(1.0, float(np.linalg.norm(V)))
     tol = cfg.constraint_tol * y_scale
 
-    G = V.T @ V
-    system = cho_factor(np.eye(n) + G)
+    # orthonormal basis of Y's row space; r is the numerical rank under the
+    # numpy.linalg.matrix_rank tolerance, at least 1 so a zero Y has a basis
+    _, s, Wt = np.linalg.svd(V, full_matrices=False)
+    r = max(int(np.count_nonzero(s > s[0] * max(m, n) * np.finfo(float).eps)), 1)
+    Q = Wt[:r].T
+    A = V @ Q
+    system = cho_factor(np.eye(r) + A.T @ A)
 
-    C = np.zeros((n, n))
-    J = np.zeros((n, n))
+    C = np.zeros((r, n))
+    J = np.zeros((r, n))
     E = np.zeros((m, n))
     L1 = np.zeros((m, n))  # multiplier for Y = YC + E
-    L2 = np.zeros((n, n))  # multiplier for C = J
+    L2 = np.zeros((r, n))  # multiplier for C = J
     mu = cfg.mu_init
 
-    R1 = V - V @ C - E
+    R1 = V - A @ C - E
     R2 = C - J
     nuc_J = 0.0
     err_E = _error_value(E, cfg.error_norm)
@@ -183,14 +173,14 @@ def solve_lrr(Y, cfg: LrrConfig | None = None, track_objective: bool = False) ->
             pre = aug_lagrangian(nuc_J, err_E, R1, R2)
 
         # J-update: prox of the nuclear norm at C + L2/mu
-        J, nuc_J = _svt_with_norm(C + L2 / mu, 1.0 / mu, cfg.rank_bound)
+        J, nuc_J = svt(C + L2 / mu, 1.0 / mu)
 
-        # C-update: (I + Y^T Y) C = Y^T (Y - E + L1/mu) + J - L2/mu
-        rhs = V.T @ (V - E + L1 / mu) + J - L2 / mu
+        # C-update: (I + A^T A) C = A^T (Y - E + L1/mu) + J - L2/mu
+        rhs = A.T @ (V - E + L1 / mu) + J - L2 / mu
         C = cho_solve(system, rhs)
 
         # E-update: prox of the error norm at Y - YC + L1/mu
-        YC = V @ C
+        YC = A @ C
         E = _error_prox(V - YC + L1 / mu, cfg.error_norm, cfg.lam, mu)
         err_E = _error_value(E, cfg.error_norm)
 
@@ -217,7 +207,7 @@ def solve_lrr(Y, cfg: LrrConfig | None = None, track_objective: bool = False) ->
     objective = nuc_J + cfg.lam * err_E
     residual = max(float(np.linalg.norm(R1)), float(np.linalg.norm(R2))) / y_scale
     report = SolverReport(it, objective, residual, converged)
-    return LrrSolution(C=C, E=E, report=report, objective_trace=trace)
+    return LrrSolution(C=Q @ C, E=E, report=report, objective_trace=trace)
 
 
 def outlier_columns(E: np.ndarray, ratio: float = 10.0, floor: float = 0.0) -> np.ndarray:

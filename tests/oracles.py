@@ -2,7 +2,10 @@
 
 Everything here deliberately avoids the code paths under test: the l1
 oracle is a plain subgradient descent, the assignment oracle enumerates
-permutations, the k-means oracle enumerates set partitions.
+permutations, the k-means oracle enumerates set partitions. The LRR oracle
+is the p x p inexact-ALM iteration that the row-space solver replaced; it
+reuses the proximal steps (tested on their own against closed forms) and
+checks only the reduction to the row space.
 """
 
 from __future__ import annotations
@@ -10,6 +13,10 @@ from __future__ import annotations
 import itertools
 
 import numpy as np
+from scipy.linalg import cho_factor, cho_solve
+
+from subclust.lowrank import LrrConfig, LrrSolution, _error_prox, _error_value, svt
+from subclust.types import SolverReport
 
 
 def lasso_objective(D, y, lam, c):
@@ -106,3 +113,77 @@ def prox_l2_scalar_oracle(m, tau, grid=2000, refinements=6):
         hi = alphas[min(best + 1, grid - 1)]
     alpha = 0.5 * (lo + hi)
     return alpha * (np.asarray(m) / norm_m)
+
+
+def lrr_full_space_oracle(V, cfg=None, track_objective=False):
+    """Inexact ALM for min ||C||_* + lam*||E||_err s.t. V = VC + E with
+    p x p iterates: a full p x p SVD and a p x p SPD solve per iteration."""
+    V = np.asarray(V, dtype=float)
+    cfg = cfg or LrrConfig()
+    m, n = V.shape
+    y_scale = max(1.0, float(np.linalg.norm(V)))
+    tol = cfg.constraint_tol * y_scale
+
+    G = V.T @ V
+    system = cho_factor(np.eye(n) + G)
+
+    C = np.zeros((n, n))
+    J = np.zeros((n, n))
+    E = np.zeros((m, n))
+    L1 = np.zeros((m, n))  # multiplier for Y = YC + E
+    L2 = np.zeros((n, n))  # multiplier for C = J
+    mu = cfg.mu_init
+
+    R1 = V - V @ C - E
+    R2 = C - J
+    nuc_J = 0.0
+    err_E = _error_value(E, cfg.error_norm)
+    trace = [] if track_objective else None
+
+    def aug_lagrangian(nuc, err, r1, r2):
+        return (
+            nuc
+            + cfg.lam * err
+            + float((L1 * r1).sum())
+            + float((L2 * r2).sum())
+            + 0.5 * mu * (float((r1 * r1).sum()) + float((r2 * r2).sum()))
+        )
+
+    converged = False
+    it = 0
+    for it in range(1, cfg.max_iterations + 1):
+        if track_objective:
+            pre = aug_lagrangian(nuc_J, err_E, R1, R2)
+
+        # J-update: prox of the nuclear norm at C + L2/mu
+        J, nuc_J = svt(C + L2 / mu, 1.0 / mu)
+
+        # C-update: (I + Y^T Y) C = Y^T (Y - E + L1/mu) + J - L2/mu
+        rhs = V.T @ (V - E + L1 / mu) + J - L2 / mu
+        C = cho_solve(system, rhs)
+
+        # E-update: prox of the error norm at Y - YC + L1/mu
+        YC = V @ C
+        E = _error_prox(V - YC + L1 / mu, cfg.error_norm, cfg.lam, mu)
+        err_E = _error_value(E, cfg.error_norm)
+
+        R1 = V - YC - E
+        R2 = C - J
+
+        if track_objective:
+            trace.append((pre, aug_lagrangian(nuc_J, err_E, R1, R2)))
+
+        L1 = L1 + mu * R1
+        L2 = L2 + mu * R2
+        mu = min(cfg.rho * mu, cfg.mu_max)
+
+        r1 = float(np.linalg.norm(R1))
+        r2 = float(np.linalg.norm(R2))
+        if r1 <= tol and r2 <= tol:
+            converged = True
+            break
+
+    objective = nuc_J + cfg.lam * err_E
+    residual = max(float(np.linalg.norm(R1)), float(np.linalg.norm(R2))) / y_scale
+    report = SolverReport(it, objective, residual, converged)
+    return LrrSolution(C=C, E=E, report=report, objective_trace=trace)

@@ -200,7 +200,9 @@ def test_criterion_5_solver_oracles():
             tau = rng.uniform(0.0, 2.0)
             U, s, Vt = np.linalg.svd(M, full_matrices=False)
             expected = (U * np.maximum(s - tau, 0.0)) @ Vt
-            assert np.abs(svt(M, tau) - expected).max() <= 1e-10
+            J, nuclear = svt(M, tau)
+            assert np.abs(J - expected).max() <= 1e-10
+            assert abs(nuclear - np.maximum(s - tau, 0.0).sum()) <= 1e-10
             norms = np.linalg.norm(M, axis=0)
             scale = np.maximum(1.0 - tau / norms, 0.0)
             assert np.abs(l21_shrink(M, tau) - M * scale).max() <= 1e-10

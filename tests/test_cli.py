@@ -217,6 +217,39 @@ def test_cluster_k_above_p_is_usage_error(tmp_path, synth_files, capsys):
     assert not out.exists()
 
 
+@pytest.mark.parametrize(
+    "algorithm, flags",
+    [
+        ("slrr", ["--rho", "1.0"]),
+        ("slrr", ["--lambda", "-1"]),
+        ("sssc", ["--lambda", "0"]),
+        ("sssc", ["--gamma", "-1"]),
+        ("sssc", ["--pca-energy", "1.5"]),
+        ("sssc", ["--restarts", "0"]),
+        ("sssc", ["--delta", "-1"]),
+        ("sssc", ["--kkt-tol", "0"]),
+        ("slrr", ["--p", "1", "--k", "1"]),
+        ("sssc", ["--p", "1", "--k", "1"]),
+    ],
+    ids=[
+        "rho", "lambda-negative", "lambda-zero", "gamma", "pca-energy",
+        "restarts", "delta", "kkt-tol", "slrr-p-1", "sssc-p-1",
+    ],
+)
+def test_cluster_bad_solver_knob_is_usage_error(tmp_path, synth_files, capsys, algorithm, flags):
+    data, _ = synth_files
+    out = tmp_path / "x.json"
+    rc = run_cli(
+        "cluster", "--algorithm", algorithm, "--input", str(data),
+        "--k", "2", "--p", "40", "--seed", "0", "--output", str(out), *flags,
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("subclust: error:")
+    assert not out.exists()
+
+
 def test_cluster_non_convergence_exits_3_with_report(tmp_path, synth_files):
     data, _ = synth_files
     out = tmp_path / "nc.json"

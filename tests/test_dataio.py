@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from subclust.dataio import (
     LabeledDataset,
     SampleSplit,
+    _parse_csv,
     labels_to_assignment,
     load_csv,
     load_labels,
@@ -60,6 +61,47 @@ def test_load_csv_header_skipped(tmp_path):
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(OSError):
         load_csv(tmp_path / "nope.csv")
+
+
+def test_load_csv_fast_read_is_bit_identical_to_cell_parser(tmp_path):
+    rng = np.random.default_rng(21)
+    values = rng.standard_normal((40, 7)) * 10.0 ** rng.integers(-300, 300, (40, 7))
+    values[0, 0] = 5e-324  # smallest subnormal
+    path = tmp_path / "exact.csv"
+    np.savetxt(path, values, fmt="%.17g", delimiter=",")
+    dm = load_csv(path)
+    np.testing.assert_array_equal(dm.values, values.T)
+    np.testing.assert_array_equal(dm.values, _parse_csv(path, False).T)
+    header = tmp_path / "exact_header.csv"
+    header.write_text("h" + ",h" * 6 + "\n" + path.read_text())
+    np.testing.assert_array_equal(load_csv(header, has_header=True).values, values.T)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "#1,2\n3,4\n",
+        '"1",2\n3,4\n',
+        "1,2,\n3,4,\n",
+        "1,2\n,\n3,4\n",
+        "1_0,2\n3,4\n",
+        "1,2\n  \n3,4\n",
+        "",
+    ],
+    ids=["comment-mark", "quoted", "trailing-comma", "blank-cells", "underscore",
+         "whitespace-line", "empty"],
+)
+def test_load_csv_lines_loadtxt_rejects_match_cell_parser(tmp_path, text):
+    path = tmp_path / "odd.csv"
+    path.write_text(text)
+    try:
+        expected = _parse_csv(path, False)
+    except DataFormatError as exc:
+        with pytest.raises(DataFormatError) as info:
+            load_csv(path)
+        assert str(info.value) == str(exc)
+    else:
+        np.testing.assert_array_equal(load_csv(path).values, expected.T)
 
 
 def test_load_labels_roundtrip(tmp_path):

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import prox_l2_scalar_oracle
+from oracles import lrr_full_space_oracle, prox_l2_scalar_oracle
 from subclust.dataio import synth_subspaces
 from subclust.lowrank import LrrConfig, l21_shrink, outlier_columns, solve_lrr, svt
 
@@ -11,13 +11,17 @@ from subclust.lowrank import LrrConfig, l21_shrink, outlier_columns, solve_lrr, 
 
 def test_svt_zero_tau_is_identity():
     M = np.random.default_rng(0).standard_normal((5, 7))
-    np.testing.assert_allclose(svt(M, 0.0), M, atol=1e-10)
+    J, nuclear = svt(M, 0.0)
+    np.testing.assert_allclose(J, M, atol=1e-10)
+    assert abs(nuclear - np.linalg.svd(M, compute_uv=False).sum()) <= 1e-10
 
 
 def test_svt_large_tau_annihilates():
     M = np.random.default_rng(1).standard_normal((4, 4))
     tau = np.linalg.norm(M, 2)
-    assert not svt(M, tau).any()
+    J, nuclear = svt(M, tau)
+    assert not J.any()
+    assert nuclear == 0.0
 
 
 def test_svt_rank_one_closed_form():
@@ -27,7 +31,9 @@ def test_svt_rank_one_closed_form():
     v = rng.standard_normal(4)
     v /= np.linalg.norm(v)
     M = 3.0 * np.outer(u, v)
-    np.testing.assert_allclose(svt(M, 1.0), 2.0 * np.outer(u, v), atol=1e-10)
+    J, nuclear = svt(M, 1.0)
+    np.testing.assert_allclose(J, 2.0 * np.outer(u, v), atol=1e-10)
+    assert abs(nuclear - 2.0) <= 1e-10
 
 
 def test_svt_matches_closed_form_on_random_matrices():
@@ -37,7 +43,9 @@ def test_svt_matches_closed_form_on_random_matrices():
         tau = rng.uniform(0, 3)
         U, s, Vt = np.linalg.svd(M, full_matrices=False)
         expected = (U * np.maximum(s - tau, 0.0)) @ Vt
-        np.testing.assert_allclose(svt(M, tau), expected, atol=1e-10)
+        J, nuclear = svt(M, tau)
+        np.testing.assert_allclose(J, expected, atol=1e-10)
+        assert abs(nuclear - np.maximum(s - tau, 0.0).sum()) <= 1e-10
 
 
 def test_svt_firmly_nonexpansive():
@@ -46,13 +54,8 @@ def test_svt_firmly_nonexpansive():
         A = rng.standard_normal((5, 6))
         B = rng.standard_normal((5, 6))
         tau = rng.uniform(0, 2)
-        assert np.linalg.norm(svt(A, tau) - svt(B, tau)) <= np.linalg.norm(A - B) + 1e-12
-
-
-def test_svt_partial_matches_full_on_low_rank_input():
-    rng = np.random.default_rng(5)
-    M = rng.standard_normal((20, 3)) @ rng.standard_normal((3, 15))
-    np.testing.assert_allclose(svt(M, 0.5, rank_bound=5), svt(M, 0.5), atol=1e-8)
+        gap = np.linalg.norm(svt(A, tau)[0] - svt(B, tau)[0])
+        assert gap <= np.linalg.norm(A - B) + 1e-12
 
 
 def test_svt_rejects_negative_tau():
@@ -190,6 +193,36 @@ def test_lrr_error_norm_variants_fit_noise():
     for norm in ("l21", "l1", "fro"):
         sol = solve_lrr(Y, LrrConfig(lam=10.0, error_norm=norm))
         assert sol.report.converged
+
+
+def _low_rank_with_outliers(m, p, rank, outliers, seed):
+    rng = np.random.default_rng(seed)
+    Y = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, p))
+    Y[:, :outliers] = 3.0 * rng.standard_normal((m, outliers))
+    return Y
+
+
+ROW_SPACE_CASES = {
+    "p_above_m": _low_rank_with_outliers(10, 30, 3, 2, seed=14),
+    "p_below_m_full_column_rank": np.random.default_rng(15).standard_normal((20, 8)),
+    "rank_deficient": _low_rank_with_outliers(20, 15, 3, 2, seed=16),
+    "all_zero": np.zeros((5, 6)),
+}
+
+
+@pytest.mark.parametrize("norm", ["l21", "l1", "fro"])
+@pytest.mark.parametrize("case", sorted(ROW_SPACE_CASES))
+def test_lrr_row_space_solve_matches_full_space_oracle(case, norm):
+    Y = ROW_SPACE_CASES[case]
+    cfg = LrrConfig(lam=0.03, error_norm=norm)
+    sol = solve_lrr(Y, cfg, track_objective=True)
+    ref = lrr_full_space_oracle(Y, cfg, track_objective=True)
+    assert sol.report.iterations == ref.report.iterations
+    assert sol.report.converged == ref.report.converged
+    atol = 1e-10 * max(1.0, np.linalg.norm(Y))
+    np.testing.assert_allclose(sol.C, ref.C, rtol=0, atol=atol)
+    np.testing.assert_allclose(sol.E, ref.E, rtol=0, atol=atol)
+    np.testing.assert_allclose(sol.objective_trace, ref.objective_trace, rtol=1e-10, atol=1e-10)
 
 
 def test_outlier_columns_threshold():
