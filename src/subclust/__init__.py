@@ -1,49 +1,3 @@
 """Subspace clustering at scale: sample, cluster in-sample, code the rest."""
 
-from .dataio import (
-    LabeledDataset,
-    SampleSplit,
-    labels_to_assignment,
-    load_csv,
-    load_labels,
-    pca_retain_energy,
-    synth_subspaces,
-    uniform_split,
-)
-from .errors import (
-    DataFormatError,
-    DegenerateAffinityError,
-    SubclustError,
-    UnassignableSampleError,
-)
-from .lowrank import LrrConfig, LrrSolution, l21_shrink, outlier_columns, solve_lrr, svt
-from .metrics import ContingencyTable, LabelMapping, accuracy, contingency, hungarian, nmi
-from .oos import (
-    Assignment,
-    ClassDictionary,
-    assign,
-    assign_batch,
-    build_dictionary,
-    class_residuals,
-    ridge_code,
-    sparse_code_oos,
-)
-from .sparse_coding import (
-    SparseCode,
-    SparseSelfRepConfig,
-    soft_threshold,
-    solve_lasso,
-    sparse_self_representation,
-)
-from .spectral import (
-    AffinityMatrix,
-    SpectralEmbedding,
-    build_affinity,
-    kmeans,
-    normalized_laplacian,
-    smallest_eigenvectors,
-    spectral_cluster,
-)
-from .types import ClusterAssignment, DataMatrix, SolverReport
-
 __version__ = "0.1.0"

@@ -5,51 +5,38 @@ split the data, cluster the in-sample part with SSC or LRR plus spectral
 clustering, then assign every out-of-sample point by linear coding over the
 in-sample dictionary and minimal regularized residual. ``ssc`` and ``lrr``
 run the whole-data pipelines instead (only feasible at small n).
+``run_pipeline`` is that sequence; ``cluster`` and ``bench`` both run it.
 
-For ``sssc``/``ssc`` the --lambda flag is the l1 weight of the coding
-objective (1/2)||y - Dc||^2 + lambda ||c||_1; for ``slrr``/``lrr`` it
-balances the error term of the low-rank program. Exit codes: 0 success,
-1 usage error, 2 data error, 3 solver non-convergence (report still
-written).
+``RunConfig`` is the one list of knobs: the ``cluster`` flags, the config
+file keys with their type and choice checks, and the report's
+``parameters`` are derived from its fields. For ``sssc``/``ssc`` the
+--lambda flag is the l1 weight of the coding objective
+(1/2)||y - Dc||^2 + lambda ||c||_1, the same number the lasso solver takes;
+for ``slrr``/``lrr`` it balances the error term of the low-rank program.
+Exit codes: 0 success, 1 usage error, 2 data error, 3 solver
+non-convergence (report still written).
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
+from typing import get_args, get_type_hints
 
 import numpy as np
 
 from . import dataio, metrics, oos, spectral
 from .errors import DataFormatError, SubclustError
-from .lowrank import LrrConfig, outlier_columns, solve_lrr
+from .lowrank import ERROR_NORMS, LrrConfig, outlier_columns, solve_lrr
 from .sparse_coding import SparseSelfRepConfig, sparse_self_representation
 from .types import ClusterAssignment, DataMatrix
 
 ALGORITHMS = ("sssc", "slrr", "ssc", "lrr")
-
-DEFAULTS = {
-    "delta": 1e-3,
-    "gamma": 1e-6,
-    "error_norm": "l21",
-    "restarts": 20,
-    "kkt_tol": 1e-4,
-    "lasso_max_iterations": 20000,
-    "lrr_max_iterations": 500,
-    "constraint_tol": 1e-7,
-    "mu_init": 1e-2,
-    "rho": 1.5,
-    "mu_max": 1e10,
-    "oos_coding": "ridge",
-    "row_normalize": True,
-    "pca_energy": None,
-    "max_full_n": 3000,
-    "has_header": False,
-}
 # --lambda defaults depend on the algorithm (sparse weight vs. LRR balance)
 LAMBDA_DEFAULTS = {"sssc": 1e-5, "ssc": 1e-5, "slrr": 1.0, "lrr": 1.0}
 
@@ -58,32 +45,99 @@ class UsageError(SubclustError, ValueError):
     """Bad flag combinations discovered after parsing."""
 
 
-@dataclass(frozen=True)
+def _knob(default=MISSING, **metadata):
+    """A RunConfig field. ``metadata`` may hold ``key`` (the config-file key
+    and flag name, when not the field name), ``choices``, ``help``, and
+    ``role``: "identity" fields head the report, "io" fields stay out of it,
+    every other field is listed under ``parameters``."""
+    return field(default=default, metadata=metadata)
+
+
+@dataclass(frozen=True, kw_only=True)
 class RunConfig:
-    algorithm: str
-    k: int
-    p: int | None
-    seed: int
-    lam: float
-    delta: float
-    gamma: float
-    error_norm: str
-    restarts: int
-    kkt_tol: float
-    lasso_max_iterations: int
-    lrr_max_iterations: int
-    constraint_tol: float
-    mu_init: float
-    rho: float
-    mu_max: float
-    oos_coding: str
-    row_normalize: bool
-    pca_energy: float | None
-    max_full_n: int
-    input: str | None
-    labels: str | None
-    output: str | None
-    has_header: bool
+    """Every knob of ``subclust cluster``, each with its default.
+
+    The ``cluster`` flags, the config-file keys, their type and choice
+    checks and the report's ``parameters`` are all derived from these
+    fields. A field without a default must be given. ``lam`` left as None
+    takes the per-algorithm default in LAMBDA_DEFAULTS.
+    """
+
+    algorithm: str = _knob(choices=ALGORITHMS, role="identity")
+    k: int = _knob(role="identity")
+    p: int | None = _knob(None, role="identity")
+    seed: int = _knob(role="identity")
+    lam: float | None = _knob(None, key="lambda")
+    delta: float = 1e-3
+    gamma: float = 1e-6
+    error_norm: str = _knob("l21", choices=ERROR_NORMS)
+    restarts: int = 20
+    kkt_tol: float = 1e-4
+    lasso_max_iterations: int = 20000
+    lrr_max_iterations: int = 500
+    constraint_tol: float = 1e-7
+    oos_coding: str = _knob("ridge", choices=oos.CODING_MODES)
+    row_normalize: bool = True
+    pca_energy: float | None = None
+    mu_init: float = 1e-2
+    rho: float = 1.5
+    mu_max: float = 1e10
+    max_full_n: int = 3000
+    input: str | None = _knob(role="io")
+    labels: str | None = _knob(None, role="io", help="optional truth sidecar for accuracy/NMI")
+    output: str | None = _knob(role="io")
+    has_header: bool = _knob(False, role="io")
+
+    def __post_init__(self):
+        if self.lam is None:
+            object.__setattr__(self, "lam", LAMBDA_DEFAULTS[self.algorithm])
+
+
+def _key(f) -> str:
+    """The config-file key of a RunConfig field."""
+    return f.metadata.get("key", f.name)
+
+
+def _flag(f) -> str:
+    """The ``cluster`` flag of a RunConfig field."""
+    return "--" + _key(f).replace("_", "-")
+
+
+_HINTS = get_type_hints(RunConfig)
+
+
+def _kind(f) -> tuple:
+    """(base type, whether None is allowed) of a RunConfig field."""
+    hint = _HINTS[f.name]
+    args = get_args(hint)
+    base = next((t for t in args if t is not type(None)), hint)
+    return base, type(None) in args
+
+
+_KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+
+
+def _checked(f, value, name: str):
+    """``value`` for field ``f``, type- and choice-checked; ``name`` says
+    where it came from in the error message."""
+    base, optional = _kind(f)
+    if value is None and optional:
+        return None
+    if isinstance(value, bool) != (base is bool):  # bool is a subclass of int
+        ok = False
+    elif base is float:
+        try:
+            ok = isinstance(value, (int, float)) and math.isfinite(value)
+        except OverflowError:  # an integer beyond the float range
+            ok = False
+    else:
+        ok = isinstance(value, base)
+    if not ok:
+        raise UsageError(f"{name} must be {_KIND_NAMES[base]}, got {value!r}")
+    choices = f.metadata.get("choices")
+    if choices and value not in choices:
+        raise UsageError(f"{name} must be one of {choices}, got {value!r}")
+    return float(value) if base is float else value
 
 
 @dataclass
@@ -108,18 +162,8 @@ class RunReport:
             "p": cfg.p,
             "seed": cfg.seed,
             "parameters": {
-                "lambda": cfg.lam,
-                "delta": cfg.delta,
-                "gamma": cfg.gamma,
-                "error_norm": cfg.error_norm,
-                "restarts": cfg.restarts,
-                "kkt_tol": cfg.kkt_tol,
-                "lasso_max_iterations": cfg.lasso_max_iterations,
-                "lrr_max_iterations": cfg.lrr_max_iterations,
-                "constraint_tol": cfg.constraint_tol,
-                "oos_coding": cfg.oos_coding,
-                "row_normalize": cfg.row_normalize,
-                "pca_energy": cfg.pca_energy,
+                _key(f): getattr(cfg, f.name)
+                for f in fields(RunConfig) if "role" not in f.metadata
             },
             "stage_seconds": self.stage_seconds,
             "total_seconds": self.total_seconds,
@@ -132,38 +176,30 @@ class RunReport:
         }
 
 
-def _lasso_config(cfg: RunConfig) -> SparseSelfRepConfig:
-    # the CLI lambda is the effective l1 weight; the solver takes the
-    # fidelity weight of lam*||y - Dc||^2 + ||c||_1, i.e. 1/(2*lambda)
-    return SparseSelfRepConfig(
-        lam=1.0 / (2.0 * cfg.lam),
-        delta=cfg.delta,
-        max_iterations=cfg.lasso_max_iterations,
-        kkt_tol=cfg.kkt_tol,
-    )
-
-
-def _lrr_config(cfg: RunConfig) -> LrrConfig:
-    return LrrConfig(
-        lam=cfg.lam,
-        error_norm=cfg.error_norm,
-        mu_init=cfg.mu_init,
-        rho=cfg.rho,
-        mu_max=cfg.mu_max,
-        constraint_tol=cfg.constraint_tol,
-        max_iterations=cfg.lrr_max_iterations,
-    )
-
-
 def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | None = None) -> RunReport:
     """Run the configured pipeline on an in-memory matrix."""
     # solver knobs are checked before any solve, so a bad value is a
     # one-line usage error instead of a traceback from deep inside a solver
-    if not cfg.lam > 0:
-        raise UsageError(f"--lambda must be positive, got {cfg.lam}")
+    if not 0 < cfg.lam < math.inf:
+        raise UsageError(f"--lambda must be positive and finite, got {cfg.lam}")
     try:
-        lasso_cfg = _lasso_config(cfg)
-        lrr_cfg = _lrr_config(cfg) if cfg.algorithm in ("slrr", "lrr") else None
+        lasso_cfg = SparseSelfRepConfig(
+            lam=cfg.lam,
+            delta=cfg.delta,
+            max_iterations=cfg.lasso_max_iterations,
+            kkt_tol=cfg.kkt_tol,
+        )
+        lrr_cfg = None
+        if cfg.algorithm in ("slrr", "lrr"):
+            lrr_cfg = LrrConfig(
+                lam=cfg.lam,
+                error_norm=cfg.error_norm,
+                mu_init=cfg.mu_init,
+                rho=cfg.rho,
+                mu_max=cfg.mu_max,
+                constraint_tol=cfg.constraint_tol,
+                max_iterations=cfg.lrr_max_iterations,
+            )
     except ValueError as exc:
         raise UsageError(f"invalid solver setting: {exc}") from None
     if not cfg.gamma > 0:
@@ -204,7 +240,6 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
     X = DataMatrix(data.values[:, split.in_sample])
     solver: dict = {}
     excluded: list = []
-    lrr_error = None
     if cfg.algorithm in ("sssc", "ssc"):
         C, reports = sparse_self_representation(X, lasso_cfg, return_reports=True)
         n_conv = sum(r.converged for r in reports)
@@ -219,7 +254,6 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
     else:
         solution = solve_lrr(X, lrr_cfg)
         C = solution.C
-        lrr_error = solution.E
         solver = {
             "type": "lrr",
             "iterations": solution.report.iterations,
@@ -231,34 +265,30 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
         C, cfg.k, restarts=cfg.restarts, seed=cfg.seed,
         row_normalize=cfg.row_normalize,
     )
-    t_insample = time.perf_counter()
-
     labels = np.empty(n, dtype=int)
     labels[split.in_sample] = labels_in.labels
-    t_coding = t_insample
-    t_classifying = t_insample
+    keep = np.arange(p)
+    if cfg.algorithm == "slrr" and split.out_of_sample.size:
+        # drop corrupted in-sample columns from the dictionary; the floor
+        # keeps solver noise from flagging columns on clean data
+        floor = 1e-3 * float(np.median(np.linalg.norm(X.values, axis=0)))
+        flagged = outlier_columns(solution.E, floor=floor)
+        if 0 < flagged.size < p:
+            keep = np.setdiff1d(keep, flagged)
+            excluded = split.in_sample[flagged].tolist()
+    t_insample = t_dictionary = t_coding = t_classifying = time.perf_counter()
+
     if split.out_of_sample.size:
-        keep = np.arange(p)
-        if cfg.algorithm == "slrr" and lrr_error is not None:
-            # drop corrupted in-sample columns from the dictionary; the floor
-            # keeps solver noise from flagging columns on clean data
-            floor = 1e-3 * float(np.median(np.linalg.norm(X.values, axis=0)))
-            flagged = outlier_columns(lrr_error, floor=floor)
-            if 0 < flagged.size < p:
-                keep = np.setdiff1d(keep, flagged)
-                excluded = split.in_sample[flagged].tolist()
         dictionary = oos.build_dictionary(
             DataMatrix(X.values[:, keep]),
             ClusterAssignment(labels_in.labels[keep], cfg.k),
             gamma=cfg.gamma,
         )
+        t_dictionary = time.perf_counter()
         Xbar = data.values[:, split.out_of_sample]
-        regularized = cfg.oos_coding == "ridge"
-        codes = oos.code_batch(
-            dictionary, Xbar, mode=cfg.oos_coding,
-            delta=cfg.delta, cfg=lasso_cfg,
-        )
+        codes = oos.code_batch(dictionary, Xbar, mode=cfg.oos_coding, cfg=lasso_cfg)
         t_coding = time.perf_counter()
+        regularized = cfg.oos_coding == "ridge"
         labels_out = oos.classify_codes(dictionary, Xbar, codes, regularized=regularized)
         t_classifying = time.perf_counter()
         labels[split.out_of_sample] = labels_out.labels
@@ -270,7 +300,8 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
         stage_seconds={
             "sampling": t_sampling - t0,
             "insample_clustering": t_insample - t_sampling,
-            "coding": t_coding - t_insample,
+            "dictionary": t_dictionary - t_insample,
+            "coding": t_coding - t_dictionary,
             "classifying": t_classifying - t_coding,
         },
         total_seconds=total,
@@ -318,7 +349,8 @@ def cmd_synth(args) -> int:
 
 
 def _merge_config(args) -> RunConfig:
-    merged = dict(DEFAULTS)
+    """Defaults, then the ``--config`` file, then explicit flags."""
+    values = {}
     if args.config:
         try:
             with open(args.config) as fh:
@@ -329,63 +361,19 @@ def _merge_config(args) -> RunConfig:
             raise DataFormatError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise DataFormatError("config file must hold a JSON object")
-        unknown = set(file_cfg) - set(DEFAULTS) - {
-            "algorithm", "k", "p", "seed", "lambda", "input", "labels", "output",
-        }
+        by_key = {_key(f): f for f in fields(RunConfig)}
+        unknown = set(file_cfg) - set(by_key)
         if unknown:
             raise UsageError(f"unknown config file keys: {sorted(unknown)}")
-        merged.update(file_cfg)
-
-    # explicit flags win over the config file
-    for key in (
-        "algorithm", "k", "p", "seed", "delta", "gamma", "error_norm",
-        "restarts", "kkt_tol", "lasso_max_iterations", "lrr_max_iterations",
-        "constraint_tol", "mu_init", "rho", "mu_max", "oos_coding",
-        "row_normalize", "pca_energy", "max_full_n", "input", "labels",
-        "output", "has_header",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
-            merged[key] = value
-    if getattr(args, "lam", None) is not None:
-        merged["lambda"] = args.lam
-
-    for key in ("algorithm", "k", "seed", "input", "output"):
-        if merged.get(key) is None:
-            raise UsageError(f"--{key.replace('_', '-')} is required")
-    if merged["algorithm"] not in ALGORITHMS:
-        raise UsageError(f"algorithm must be one of {ALGORITHMS}")
-    if "lambda" not in merged or merged["lambda"] is None:
-        merged["lambda"] = LAMBDA_DEFAULTS[merged["algorithm"]]
-
-    return RunConfig(
-        algorithm=merged["algorithm"],
-        k=int(merged["k"]),
-        p=int(merged["p"]) if merged.get("p") is not None else None,
-        seed=int(merged["seed"]),
-        lam=float(merged["lambda"]),
-        delta=float(merged["delta"]),
-        gamma=float(merged["gamma"]),
-        error_norm=str(merged["error_norm"]),
-        restarts=int(merged["restarts"]),
-        kkt_tol=float(merged["kkt_tol"]),
-        lasso_max_iterations=int(merged["lasso_max_iterations"]),
-        lrr_max_iterations=int(merged["lrr_max_iterations"]),
-        constraint_tol=float(merged["constraint_tol"]),
-        mu_init=float(merged["mu_init"]),
-        rho=float(merged["rho"]),
-        mu_max=float(merged["mu_max"]),
-        oos_coding=str(merged["oos_coding"]),
-        row_normalize=bool(merged["row_normalize"]),
-        pca_energy=(
-            float(merged["pca_energy"]) if merged["pca_energy"] is not None else None
-        ),
-        max_full_n=int(merged["max_full_n"]),
-        input=str(merged["input"]),
-        labels=str(merged["labels"]) if merged.get("labels") else None,
-        output=str(merged["output"]),
-        has_header=bool(merged["has_header"]),
-    )
+        for key, value in file_cfg.items():
+            values[by_key[key].name] = _checked(by_key[key], value, f"config key {key!r}")
+    for f in fields(RunConfig):
+        flag = getattr(args, f.name)
+        if flag is not None:
+            values[f.name] = _checked(f, flag, _flag(f))
+        if f.default is MISSING and values.get(f.name) is None:
+            raise UsageError(f"{_flag(f)} is required")
+    return RunConfig(**values)
 
 
 def cmd_cluster(args) -> int:
@@ -422,22 +410,20 @@ def cmd_cluster(args) -> int:
 
 
 def cmd_bench(args) -> int:
-    """Time each stage of the sampled pipeline across problem sizes.
+    """Run the ``cluster`` pipeline on synthetic data across problem sizes.
 
-    ``classification_seconds`` is the per-query work (coding + residual
-    classification), excluding the n-independent dictionary factorization;
+    Each n runs ``run_pipeline`` ``--repeats`` times. ``classification_seconds``
+    is the minimum over the repeats of the per-query work (coding +
+    classifying), which excludes the n-independent dictionary factorization;
     the log-log slope of that time against n checks the linear-in-n claim.
-    The stage is re-timed ``--repeats`` times and the minimum is kept.
+    Every other column comes from the first repeat.
     """
-    ns = sorted(set(args.n))
-    if args.p > min(ns):
-        raise UsageError(f"--p {args.p} exceeds the smallest n {min(ns)}")
-    if args.k > args.p:
-        raise UsageError("--k cannot exceed --p")
-    lam = args.lam if args.lam is not None else LAMBDA_DEFAULTS[args.algorithm]
-
+    cfg = RunConfig(
+        algorithm=args.algorithm, k=args.k, p=args.p, seed=args.seed, lam=args.lam,
+        input=None, output=None,
+    )
     runs = []
-    for n in ns:
+    for n in sorted(set(args.n)):
         points = [n // args.k] * args.k
         for i in range(n - sum(points)):
             points[i] += 1
@@ -445,49 +431,23 @@ def cmd_bench(args) -> int:
             k=args.k, ambient=args.ambient, dim_per=[args.dim] * args.k,
             points_per=points, seed=args.seed,
         )
-        data = dataset.data
-
-        t0 = time.perf_counter()
-        split = dataio.uniform_split(n, args.p, args.seed)
-        t_split = time.perf_counter()
-        X = DataMatrix(data.values[:, split.in_sample])
-        if args.algorithm == "sssc":
-            cfg = SparseSelfRepConfig(
-                lam=1.0 / (2.0 * lam), delta=DEFAULTS["delta"],
-                kkt_tol=DEFAULTS["kkt_tol"],
-            )
-            C = sparse_self_representation(X, cfg)
-        else:
-            C = solve_lrr(X, LrrConfig(lam=lam)).C
-        labels_in = spectral.spectral_cluster(C, args.k, seed=args.seed)
-        t_insample = time.perf_counter()
-        dictionary = oos.build_dictionary(X, labels_in, gamma=DEFAULTS["gamma"])
-        t_build = time.perf_counter()
-        Xbar = data.values[:, split.out_of_sample]
-        codes = oos.code_batch(dictionary, Xbar)
-        labels_out = oos.classify_codes(dictionary, Xbar, codes)
-        t_classify = time.perf_counter()
-
-        classification = t_classify - t_build
-        for _ in range(max(args.repeats - 1, 0)):
-            t1 = time.perf_counter()
-            codes = oos.code_batch(dictionary, Xbar)
-            oos.classify_codes(dictionary, Xbar, codes)
-            classification = min(classification, time.perf_counter() - t1)
-
-        labels = np.empty(n, dtype=int)
-        labels[split.in_sample] = labels_in.labels
-        labels[split.out_of_sample] = labels_out.labels
-        acc = metrics.accuracy(ClusterAssignment(labels, args.k), dataset.truth)
+        reports = [
+            run_pipeline(cfg, dataset.data, dataset.truth)
+            for _ in range(max(args.repeats, 1))
+        ]
+        first = reports[0].stage_seconds
         runs.append(
             {
                 "n": n,
-                "accuracy": acc,
-                "sampling_seconds": t_split - t0,
-                "insample_seconds": t_insample - t_split,
-                "dictionary_seconds": t_build - t_insample,
-                "classification_seconds": classification,
-                "total_seconds": t_classify - t0,
+                "accuracy": reports[0].accuracy,
+                "sampling_seconds": first["sampling"],
+                "insample_seconds": first["insample_clustering"],
+                "dictionary_seconds": first["dictionary"],
+                "classification_seconds": min(
+                    r.stage_seconds["coding"] + r.stage_seconds["classifying"]
+                    for r in reports
+                ),
+                "total_seconds": reports[0].total_seconds,
             }
         )
 
@@ -567,33 +527,14 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=lambda a: cmd_synth(a))
 
     cl = sub.add_parser("cluster", help="cluster a CSV and write a JSON report")
-    cl.add_argument("--algorithm", choices=ALGORITHMS)
-    cl.add_argument("--input")
-    cl.add_argument("--has-header", action=argparse.BooleanOptionalAction, default=None)
-    cl.add_argument("--labels", help="optional truth sidecar for accuracy/NMI")
-    cl.add_argument("--k", type=int)
-    cl.add_argument("--p", type=int)
-    cl.add_argument("--seed", type=int)
-    cl.add_argument("--lambda", dest="lam", type=float)
-    cl.add_argument("--delta", type=float)
-    cl.add_argument("--gamma", type=float)
-    cl.add_argument("--error-norm", choices=("l21", "l1", "fro"))
-    cl.add_argument("--restarts", type=int)
-    cl.add_argument("--kkt-tol", type=float)
-    cl.add_argument("--lasso-max-iterations", type=int)
-    cl.add_argument("--lrr-max-iterations", type=int)
-    cl.add_argument("--constraint-tol", type=float)
-    cl.add_argument("--mu-init", type=float)
-    cl.add_argument("--rho", type=float)
-    cl.add_argument("--mu-max", type=float)
-    cl.add_argument("--oos-coding", choices=("ridge", "sparse"))
-    cl.add_argument(
-        "--row-normalize", action=argparse.BooleanOptionalAction, default=None
-    )
-    cl.add_argument("--pca-energy", type=float)
-    cl.add_argument("--max-full-n", type=int)
+    for f in fields(RunConfig):
+        base, _ = _kind(f)
+        if base is bool:
+            parse = {"action": argparse.BooleanOptionalAction}
+        else:
+            parse = {"type": base, "choices": f.metadata.get("choices")}
+        cl.add_argument(_flag(f), dest=f.name, default=None, help=f.metadata.get("help"), **parse)
     cl.add_argument("--config", help="JSON config file (flags override it)")
-    cl.add_argument("--output")
     cl.set_defaults(func=lambda a: cmd_cluster(a))
 
     be = sub.add_parser("bench", help="classification-time scaling benchmark")

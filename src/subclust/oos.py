@@ -10,7 +10,7 @@ step bound once for all its queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
@@ -22,6 +22,9 @@ from .types import ClusterAssignment, DataMatrix
 # queries are processed in fixed-size column blocks so the working set stays
 # cache-resident regardless of how many points are classified
 QUERY_CHUNK = 512
+
+# out-of-sample coding modes, in the order the command line lists them
+CODING_MODES = ("ridge", "sparse")
 
 
 @dataclass(frozen=True)
@@ -43,15 +46,6 @@ class ClassDictionary:
         return self.X.n
 
 
-@dataclass(frozen=True)
-class Assignment:
-    """One classified point: winning label, per-class residuals, its code."""
-
-    label: int
-    residuals: np.ndarray
-    coefficients: np.ndarray
-
-
 def build_dictionary(X, labels: ClusterAssignment, gamma: float = 1e-6) -> ClassDictionary:
     """Factor (X^T X + gamma I) once and cache the ridge projector."""
     X = X if isinstance(X, DataMatrix) else DataMatrix(np.asarray(X, dtype=float))
@@ -71,102 +65,19 @@ def build_dictionary(X, labels: ClusterAssignment, gamma: float = 1e-6) -> Class
     )
 
 
-def ridge_code(dictionary: ClassDictionary, xbar) -> np.ndarray:
-    """Closed-form ridge coefficients of one query point."""
-    xbar = np.asarray(xbar, dtype=float).ravel()
-    if xbar.size != dictionary.X.m:
-        raise ValueError(
-            f"query has length {xbar.size}, dictionary rows {dictionary.X.m}"
-        )
-    return dictionary.projector @ xbar
-
-
-def sparse_code_oos(
-    dictionary: ClassDictionary,
-    xbar,
-    delta: float,
-    cfg: SparseSelfRepConfig | None = None,
-) -> np.ndarray:
-    """l1 coefficients of one query point over the in-sample dictionary."""
-    xbar = np.asarray(xbar, dtype=float).ravel()
-    if xbar.size != dictionary.X.m:
-        raise ValueError(
-            f"query has length {xbar.size}, dictionary rows {dictionary.X.m}"
-        )
-    cfg = _query_config(delta, cfg)
-    return solve_lasso(dictionary.X, xbar, cfg.lam, cfg).coefficients
-
-
-def _query_config(delta: float, cfg: SparseSelfRepConfig | None) -> SparseSelfRepConfig:
-    """The l1 config for out-of-sample queries: ``cfg`` with ``delta`` swapped in."""
-    return SparseSelfRepConfig(delta=delta) if cfg is None else replace(cfg, delta=delta)
-
-
-def class_residuals(
-    dictionary: ClassDictionary,
-    xbar,
-    cbar,
-    regularized: bool = True,
-) -> np.ndarray:
-    """Reconstruction residual of the query per class.
-
-    Class j uses only the coefficients of its own columns. Regularized
-    residuals divide by the norm of those coefficients; a class with zero
-    coefficient norm gets +inf there, so it can never win the argmin.
-    """
-    xbar = np.asarray(xbar, dtype=float).ravel()
-    cbar = np.asarray(cbar, dtype=float).ravel()
-    if cbar.size != dictionary.p:
-        raise ValueError(
-            f"code has length {cbar.size}, dictionary has {dictionary.p} columns"
-        )
-    V = dictionary.X.values
-    out = np.empty(dictionary.k)
-    for j, idx in enumerate(dictionary.class_indices):
-        coeffs = cbar[idx]
-        norm_j = float(np.linalg.norm(coeffs))
-        res = float(np.linalg.norm(xbar - V[:, idx] @ coeffs))
-        if regularized:
-            out[j] = res / norm_j if norm_j > 0 else np.inf
-        else:
-            out[j] = res
-    return out
-
-
-def assign(
-    dictionary: ClassDictionary,
-    xbar,
-    mode: str = "ridge",
-    regularized: bool = True,
-    delta: float = 0.0,
-    cfg: SparseSelfRepConfig | None = None,
-) -> Assignment:
-    """Code one query point and assign it to the argmin-residual class.
-
-    Ties break toward the lowest class index. If every class residual is
-    +inf (an all-zero code under regularized residuals), raises
-    UnassignableSampleError.
-    """
-    if mode == "ridge":
-        cbar = ridge_code(dictionary, xbar)
-    elif mode == "sparse":
-        cbar = sparse_code_oos(dictionary, xbar, delta, cfg)
-    else:
-        raise ValueError(f"mode must be 'ridge' or 'sparse', got {mode!r}")
-    residuals = class_residuals(dictionary, xbar, cbar, regularized)
-    if not np.any(np.isfinite(residuals)):
-        raise UnassignableSampleError()
-    return Assignment(int(np.argmin(residuals)), residuals, cbar)
-
-
 def code_batch(
     dictionary: ClassDictionary,
     Xbar,
     mode: str = "ridge",
-    delta: float = 0.0,
     cfg: SparseSelfRepConfig | None = None,
 ) -> np.ndarray:
-    """Coefficients of every query column, as a (p, n_queries) matrix."""
+    """Coefficients of every query column, as a (p, n_queries) matrix.
+
+    ``cfg`` (l1 weight and stopping rule, defaults when None) is used by
+    ``mode="sparse"`` only.
+    """
+    if mode not in CODING_MODES:
+        raise ValueError(f"mode must be one of {CODING_MODES}, got {mode!r}")
     V = Xbar.values if isinstance(Xbar, DataMatrix) else np.asarray(Xbar, dtype=float)
     if V.ndim != 2 or V.shape[0] != dictionary.X.m:
         raise ValueError(
@@ -178,14 +89,11 @@ def code_batch(
             block = V[:, s : s + QUERY_CHUNK]
             codes[:, s : s + block.shape[1]] = dictionary.projector @ block
         return codes
-    if mode == "sparse":
-        cfg = _query_config(delta, cfg)
-        prep = lasso_dictionary(dictionary.X)
-        codes = np.empty((dictionary.p, V.shape[1]))
-        for j in range(V.shape[1]):
-            codes[:, j] = solve_lasso(prep, V[:, j], cfg.lam, cfg).coefficients
-        return codes
-    raise ValueError(f"mode must be 'ridge' or 'sparse', got {mode!r}")
+    prep = lasso_dictionary(dictionary.X)
+    codes = np.empty((dictionary.p, V.shape[1]))
+    for j in range(V.shape[1]):
+        codes[:, j] = solve_lasso(prep, V[:, j], cfg).coefficients
+    return codes
 
 
 def classify_codes(
@@ -194,7 +102,14 @@ def classify_codes(
     codes: np.ndarray,
     regularized: bool = True,
 ) -> ClusterAssignment:
-    """Residual-argmin labels for pre-computed codes, one class at a time."""
+    """Residual-argmin labels for pre-computed codes, one class at a time.
+
+    Class j reconstructs a query from the coefficients of its own columns
+    only. Regularized residuals divide by the norm of those coefficients; a
+    class whose coefficients are all zero gets +inf there, so it can never
+    win. Ties break toward the lowest class index. Queries whose every class
+    residual is +inf raise UnassignableSampleError, which lists them.
+    """
     V = Xbar.values if isinstance(Xbar, DataMatrix) else np.asarray(Xbar, dtype=float)
     q = V.shape[1]
     if q == 0:
@@ -227,16 +142,3 @@ def classify_codes(
     if bad:
         raise UnassignableSampleError(bad)
     return ClusterAssignment(labels, dictionary.k)
-
-
-def assign_batch(
-    dictionary: ClassDictionary,
-    Xbar,
-    mode: str = "ridge",
-    regularized: bool = True,
-    delta: float = 0.0,
-    cfg: SparseSelfRepConfig | None = None,
-) -> ClusterAssignment:
-    """Per-column assignment of many queries, reusing the cached projector."""
-    codes = code_batch(dictionary, Xbar, mode=mode, delta=delta, cfg=cfg)
-    return classify_codes(dictionary, Xbar, codes, regularized=regularized)

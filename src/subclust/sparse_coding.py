@@ -2,12 +2,11 @@
 
 The solver minimizes
 
-    f(c) = lam * ||y - D c||_2^2 + ||c||_1,
+    f(c) = (1/2) ||y - D c||_2^2 + lam ||c||_1,
 
-i.e. the fidelity term carries the weight. Internally this is handled in
-the standard form (1/2)||y - D c||_2^2 + tau ||c||_1 with the effective
-l1 weight tau = 1 / (2 * lam); the null-code condition is then exact:
-c = 0 is optimal iff ||D^T y||_inf <= tau.
+with ``lam`` the l1 weight, the same number as the command line's
+--lambda. The null-code condition is exact: c = 0 is optimal iff
+||D^T y||_inf <= lam.
 
 Everything the solver needs from the dictionary alone, the Gram matrix
 D^T D and the exact step bound ||D||_2^2, is computed once per dictionary
@@ -35,7 +34,7 @@ SNAP_TOL = 1e-12
 class SparseSelfRepConfig:
     """Knobs for the l1 solver.
 
-    lam            fidelity weight (effective l1 weight is 1/(2*lam))
+    lam            l1 weight of (1/2)||y - D c||^2 + lam ||c||_1
     delta          data-residual tolerance; when > 0 iteration stops early
                    once ||y - D c||_2 <= delta
     max_iterations iteration cap; hitting it returns the best iterate with
@@ -43,7 +42,7 @@ class SparseSelfRepConfig:
     kkt_tol        relative stationarity tolerance for declaring convergence
     """
 
-    lam: float = 5e4
+    lam: float = 1e-5
     delta: float = 1e-3
     max_iterations: int = 20000
     kkt_tol: float = 1e-4
@@ -57,10 +56,6 @@ class SparseSelfRepConfig:
             raise ValueError("max_iterations must be >= 1")
         if self.kkt_tol <= 0:
             raise ValueError("kkt_tol must be positive")
-
-    @property
-    def l1_weight(self) -> float:
-        return 1.0 / (2.0 * self.lam)
 
 
 @dataclass(frozen=True)
@@ -132,18 +127,17 @@ def kkt_violation(correlations: np.ndarray, c: np.ndarray, tau: float) -> float:
 
 
 def solve_lasso(
-    dictionary, y, lam: float, cfg: SparseSelfRepConfig | None = None,
+    dictionary, y, cfg: SparseSelfRepConfig | None = None,
     exclude: int | None = None,
 ) -> SparseCode:
-    """Minimize lam * ||y - D c||_2^2 + ||c||_1 by accelerated proximal descent.
+    """Minimize (1/2)||y - D c||_2^2 + cfg.lam ||c||_1 by accelerated proximal descent.
 
     Parameters
     ----------
     dictionary : LassoDictionary, DataMatrix or (m, p) ndarray; anything but
         a LassoDictionary is prepared with ``lasso_dictionary`` on each call
     y : (m,) target vector
-    lam : positive fidelity weight
-    cfg : stopping parameters; ``cfg.lam`` is ignored in favor of ``lam``
+    cfg : the l1 weight and the stopping parameters (defaults when None)
     exclude : column index whose coefficient is held at exactly zero; the
         result is the solution over D with that column zeroed
 
@@ -159,21 +153,19 @@ def solve_lasso(
     m, p = D.shape
     if y.size != m:
         raise ValueError(f"dictionary has {m} rows but y has length {y.size}")
-    if lam <= 0:
-        raise ValueError(f"lam must be positive, got {lam}")
     if exclude is not None and not 0 <= exclude < p:
         raise ValueError(f"exclude must lie in [0, {p}), got {exclude}")
     if cfg is None:
-        cfg = SparseSelfRepConfig(lam=lam)
+        cfg = SparseSelfRepConfig()
 
-    tau = 1.0 / (2.0 * lam)
+    tau = cfg.lam
 
     def finish(c, iterations, converged):
         c = np.asarray(c, dtype=float).copy()
         c[np.abs(c) < SNAP_TOL] = 0.0
         r = y - D @ c
         res = float(np.linalg.norm(r))
-        obj = lam * res * res + float(np.abs(c).sum())
+        obj = 0.5 * res * res + tau * float(np.abs(c).sum())
         return SparseCode(
             coefficients=c,
             support=np.flatnonzero(c),
@@ -267,7 +259,7 @@ def sparse_self_representation(Y, cfg: SparseSelfRepConfig | None = None, return
     prep = lasso_dictionary(Y)
     for i in range(n):
         try:
-            code = solve_lasso(prep, prep.D[:, i], cfg.lam, cfg, exclude=i)
+            code = solve_lasso(prep, prep.D[:, i], cfg, exclude=i)
         except ValueError as exc:
             raise ValueError(f"column {i}: {exc}") from exc
         C[:, i] = code.coefficients

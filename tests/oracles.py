@@ -5,16 +5,20 @@ oracle is a plain subgradient descent, the assignment oracle enumerates
 permutations, the k-means oracle enumerates set partitions. The LRR oracle
 is the p x p inexact-ALM iteration that the row-space solver replaced; it
 reuses the proximal steps (tested on their own against closed forms) and
-checks only the reduction to the row space.
+checks only the reduction to the row space. The per-point out-of-sample
+assignment forms each class residual directly, where ``classify_codes``
+expands it over a whole batch.
 """
 
 from __future__ import annotations
 
 import itertools
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from subclust.errors import UnassignableSampleError
 from subclust.lowrank import LrrConfig, LrrSolution, _error_prox, _error_value, svt
 from subclust.types import SolverReport
 
@@ -187,3 +191,53 @@ def lrr_full_space_oracle(V, cfg=None, track_objective=False):
     residual = max(float(np.linalg.norm(R1)), float(np.linalg.norm(R2))) / y_scale
     report = SolverReport(it, objective, residual, converged)
     return LrrSolution(C=C, E=E, report=report, objective_trace=trace)
+
+
+@dataclass(frozen=True)
+class Assignment:
+    """One classified point: winning label, per-class residuals, its code."""
+
+    label: int
+    residuals: np.ndarray
+    coefficients: np.ndarray
+
+
+def class_residuals(dictionary, xbar, cbar, regularized=True):
+    """Reconstruction residual of the query per class.
+
+    Class j uses only the coefficients of its own columns. Regularized
+    residuals divide by the norm of those coefficients; a class with zero
+    coefficient norm gets +inf there, so it can never win the argmin.
+    """
+    xbar = np.asarray(xbar, dtype=float).ravel()
+    cbar = np.asarray(cbar, dtype=float).ravel()
+    if cbar.size != dictionary.p:
+        raise ValueError(
+            f"code has length {cbar.size}, dictionary has {dictionary.p} columns"
+        )
+    V = dictionary.X.values
+    out = np.empty(dictionary.k)
+    for j, idx in enumerate(dictionary.class_indices):
+        coeffs = cbar[idx]
+        norm_j = float(np.linalg.norm(coeffs))
+        res = float(np.linalg.norm(xbar - V[:, idx] @ coeffs))
+        if regularized:
+            out[j] = res / norm_j if norm_j > 0 else np.inf
+        else:
+            out[j] = res
+    return out
+
+
+def assign(dictionary, xbar, regularized=True):
+    """Ridge-code one query point and assign it to the argmin-residual class.
+
+    Ties break toward the lowest class index. If every class residual is
+    +inf (an all-zero code under regularized residuals), raises
+    UnassignableSampleError.
+    """
+    xbar = np.asarray(xbar, dtype=float).ravel()
+    cbar = dictionary.projector @ xbar
+    residuals = class_residuals(dictionary, xbar, cbar, regularized)
+    if not np.any(np.isfinite(residuals)):
+        raise UnassignableSampleError()
+    return Assignment(int(np.argmin(residuals)), residuals, cbar)

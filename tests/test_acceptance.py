@@ -128,7 +128,7 @@ def test_criterion_3_affinity_block_structure():
         labels = dataset.truth.labels
         inter = labels[:, None] != labels[None, :]
 
-        cfg = SparseSelfRepConfig(lam=1.0 / (2e-5), delta=0.0, kkt_tol=1e-6)
+        cfg = SparseSelfRepConfig(lam=1e-5, delta=0.0, kkt_tol=1e-6)
         C_sparse = sparse_self_representation(dataset.data, cfg)
         A = np.abs(C_sparse) + np.abs(C_sparse).T
         assert A.sum() > 0
@@ -176,9 +176,9 @@ def test_criterion_5_solver_oracles():
         solver_objs = np.empty(B)
         for i in range(B):
             cfg = SparseSelfRepConfig(
-                lam=lams[i], delta=0.0, kkt_tol=1e-8, max_iterations=100_000
+                lam=taus[i], delta=0.0, kkt_tol=1e-8, max_iterations=100_000
             )
-            code = solve_lasso(Ds[i], ys[i], lams[i], cfg)
+            code = solve_lasso(Ds[i], ys[i], cfg)
             solver_objs[i] = lasso_objective(Ds[i], ys[i], lams[i], code.coefficients)
         oracle_objs = subgradient_lasso_batch(Ds, ys, lams, iterations=1_000_000)
         assert np.all(solver_objs <= oracle_objs + 1e-6)

@@ -1,9 +1,16 @@
+import contextlib
+import dataclasses
+import io
 import json
+import typing
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from subclust.cli import main
+from subclust import dataio
+from subclust.cli import RunConfig, build_parser, main, run_pipeline
 
 
 def run_cli(*argv):
@@ -223,7 +230,12 @@ def test_cluster_k_above_p_is_usage_error(tmp_path, synth_files, capsys):
         ("slrr", ["--rho", "1.0"]),
         ("slrr", ["--lambda", "-1"]),
         ("sssc", ["--lambda", "0"]),
+        ("sssc", ["--lambda", "inf"]),
+        ("slrr", ["--lambda", "inf"]),
+        ("sssc", ["--lambda", "nan"]),
         ("sssc", ["--gamma", "-1"]),
+        ("sssc", ["--gamma", "inf"]),
+        ("slrr", ["--rho", "nan"]),
         ("sssc", ["--pca-energy", "1.5"]),
         ("sssc", ["--restarts", "0"]),
         ("sssc", ["--delta", "-1"]),
@@ -232,7 +244,8 @@ def test_cluster_k_above_p_is_usage_error(tmp_path, synth_files, capsys):
         ("sssc", ["--p", "1", "--k", "1"]),
     ],
     ids=[
-        "rho", "lambda-negative", "lambda-zero", "gamma", "pca-energy",
+        "rho", "lambda-negative", "lambda-zero", "lambda-inf-sssc",
+        "lambda-inf-slrr", "lambda-nan", "gamma", "gamma-inf", "rho-nan", "pca-energy",
         "restarts", "delta", "kkt-tol", "slrr-p-1", "sssc-p-1",
     ],
 )
@@ -248,6 +261,146 @@ def test_cluster_bad_solver_knob_is_usage_error(tmp_path, synth_files, capsys, a
     assert err.count("\n") == 1
     assert err.startswith("subclust: error:")
     assert not out.exists()
+
+
+CLUSTER_FLAGS = {"algorithm": "sssc", "k": "2", "p": "40", "seed": "0"}
+
+
+@pytest.mark.parametrize(
+    "bad",
+    [
+        {"oos_coding": "foo"},
+        {"lambda": "x"},
+        {"k": [2]},
+        {"row_normalize": "false"},
+        {"restarts": 2.7},
+        {"error_norm": "bogus"},
+        {"seed": 1.5},
+        {"pca_energy": "x"},
+        {"gamma": 10**400},
+    ],
+    ids=lambda bad: next(iter(bad)),
+)
+def test_cluster_bad_config_value_is_usage_error(tmp_path, synth_files, capsys, bad):
+    data, _ = synth_files
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps(bad))
+    (key,) = bad
+    flags = [x for k, v in CLUSTER_FLAGS.items() if k != key for x in (f"--{k}", v)]
+    out = tmp_path / "x.json"
+    rc = run_cli(
+        "cluster", "--input", str(data), "--config", str(cfg_path),
+        "--output", str(out), *flags,
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("subclust: error:")
+    assert repr(key) in err
+    assert "Traceback" not in err
+    assert not out.exists()
+
+
+IO_FIELDS = {"input", "labels", "output", "has_header"}
+IDENTITY_FIELDS = {"algorithm", "k", "p", "seed"}
+# a valid, non-default value for every RunConfig field outside I/O
+NON_DEFAULT = {
+    "algorithm": "sssc", "k": 2, "p": 30, "seed": 5, "lam": 2e-5,
+    "delta": 2e-3, "gamma": 2e-6, "error_norm": "l1", "restarts": 3,
+    "kkt_tol": 2e-4, "lasso_max_iterations": 15000, "lrr_max_iterations": 400,
+    "constraint_tol": 2e-7, "oos_coding": "sparse", "row_normalize": False,
+    "pca_energy": 1.0, "mu_init": 2e-2, "rho": 1.6, "mu_max": 1e9,
+    "max_full_n": 2000,
+}
+
+
+def _key(f):
+    return f.metadata.get("key", f.name)
+
+
+def test_every_knob_has_one_flag_one_config_key_and_a_report_entry(tmp_path, synth_files):
+    data, _ = synth_files
+    knobs = [f for f in dataclasses.fields(RunConfig) if f.name not in IO_FIELDS]
+    assert {f.name for f in knobs} == set(NON_DEFAULT)
+    assert all(NON_DEFAULT[f.name] != f.default for f in knobs)
+
+    cluster = build_parser()._subparsers._group_actions[0].choices["cluster"]
+    for f in knobs:
+        assert [a.dest for a in cluster._actions].count(f.name) == 1, f.name
+
+    flags = []
+    for f in knobs:
+        value = NON_DEFAULT[f.name]
+        flag = "--" + _key(f).replace("_", "-")
+        if isinstance(value, bool):
+            flags.append(flag if value else flag.replace("--", "--no-", 1))
+        else:
+            flags += [flag, str(value)]
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({_key(f): NON_DEFAULT[f.name] for f in knobs}))
+    reports = []
+    for name, argv in (("flags", flags), ("file", ["--config", str(cfg_path)])):
+        out = tmp_path / f"{name}.json"
+        rc = run_cli("cluster", "--input", str(data), "--output", str(out), *argv)
+        assert rc == 0
+        reports.append(json.loads(out.read_text()))
+    by_flags, by_file = reports
+    for f in knobs:
+        where = by_flags if f.name in IDENTITY_FIELDS else by_flags["parameters"]
+        assert where[_key(f)] == NON_DEFAULT[f.name], f.name
+    assert len(by_flags["parameters"]) == len(knobs) - len(IDENTITY_FIELDS)
+    for report in reports:
+        del report["stage_seconds"], report["total_seconds"], report["labels_file"]
+    assert by_flags == by_file
+
+
+def _wrong_values(f):
+    """Config-file values of the wrong JSON type for field ``f``, or outside its choices."""
+    hint = typing.get_type_hints(RunConfig)[f.name]
+    base = next((t for t in typing.get_args(hint) if t is not type(None)), hint)
+    containers = st.one_of(
+        st.lists(st.integers(), max_size=2),
+        st.dictionaries(st.text(max_size=2), st.integers(), max_size=1),
+    )
+    if base is bool:
+        wrong = st.one_of(st.text(max_size=5), st.integers(-2, 2), containers)
+    elif base is int:
+        wrong = st.one_of(
+            st.text(max_size=5), st.booleans(), containers,
+            st.floats(-1e3, 1e3).filter(lambda x: not x.is_integer()),
+        )
+    elif base is float:
+        non_finite = st.sampled_from([float("inf"), float("-inf"), float("nan")])
+        wrong = st.one_of(st.text(max_size=5), st.booleans(), containers, non_finite)
+    else:
+        choices = f.metadata.get("choices")
+        text = st.text(max_size=5).filter(lambda x: x not in choices) if choices else st.nothing()
+        wrong = st.one_of(text, st.integers(), st.booleans(), st.floats(allow_nan=False), containers)
+    if type(None) not in typing.get_args(hint):
+        wrong = st.one_of(wrong, st.none())
+    return wrong
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(st.data())
+def test_bad_config_values_never_end_in_a_traceback(tmp_path_factory, data):
+    f = data.draw(st.sampled_from(dataclasses.fields(RunConfig)))
+    value = data.draw(_wrong_values(f))
+    work = tmp_path_factory.mktemp("cfg")
+    csv = work / "data.csv"
+    csv.write_text("1,0\n0,1\n1,1\n2,1\n")
+    cfg_path = work / "cfg.json"
+    cfg_path.write_text(json.dumps({_key(f): value}))
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err):
+        rc = run_cli(
+            "cluster", "--algorithm", "sssc", "--input", str(csv), "--k", "2",
+            "--p", "3", "--seed", "0", "--output", str(work / "x.json"),
+            "--config", str(cfg_path),
+        )
+    assert rc in (1, 2)
+    assert "Traceback" not in err.getvalue()
+    assert err.getvalue().count("\n") == 1
 
 
 def test_cluster_non_convergence_exits_3_with_report(tmp_path, synth_files):
@@ -352,3 +505,20 @@ def test_bench_scaling_runs(tmp_path):
     assert len(result["runs"]) == 2
     assert result["classification_slope"] is not None
     assert all(r["accuracy"] == 1.0 for r in result["runs"])
+
+
+def test_bench_accuracy_matches_run_pipeline(tmp_path):
+    out = tmp_path / "bench.json"
+    rc = run_cli(
+        "bench", "--n", "300", "--p", "40", "--k", "3", "--ambient", "30",
+        "--dim", "3", "--repeats", "2", "--seed", "2", "--algorithm", "slrr",
+        "--output", str(out),
+    )
+    assert rc == 0
+    (run,) = json.loads(out.read_text())["runs"]
+    dataset = dataio.synth_subspaces(
+        k=3, ambient=30, dim_per=[3] * 3, points_per=[100] * 3, seed=2
+    )
+    cfg = RunConfig(algorithm="slrr", k=3, p=40, seed=2, input=None, output=None)
+    report = run_pipeline(cfg, dataset.data, dataset.truth)
+    assert run["accuracy"] == report.accuracy

@@ -1,19 +1,10 @@
 import numpy as np
 import pytest
 
-from oracles import lasso_objective, subgradient_lasso
+from oracles import assign, class_residuals, lasso_objective, subgradient_lasso
 from subclust.dataio import synth_subspaces, uniform_split
 from subclust.errors import UnassignableSampleError
-from subclust.oos import (
-    assign,
-    assign_batch,
-    build_dictionary,
-    class_residuals,
-    code_batch,
-    classify_codes,
-    ridge_code,
-    sparse_code_oos,
-)
+from subclust.oos import build_dictionary, classify_codes, code_batch
 from subclust.sparse_coding import SparseSelfRepConfig
 from subclust.types import ClusterAssignment, DataMatrix
 
@@ -23,6 +14,16 @@ def orthonormal_dictionary(m=8, p=5, seed=0, k=2):
     Q, _ = np.linalg.qr(rng.standard_normal((m, p)))
     labels = ClusterAssignment(np.arange(p) % k, k)
     return Q, labels
+
+
+def code_one(dic, xbar, **kw):
+    """The code of one query point: ``code_batch`` on a one-column batch."""
+    return code_batch(dic, np.asarray(xbar, dtype=float)[:, None], **kw)[:, 0]
+
+
+def assign_all(dic, Xbar):
+    """Batch assignment: ridge codes, then regularized-residual argmin."""
+    return classify_codes(dic, Xbar, code_batch(dic, Xbar))
 
 
 # --- build_dictionary --------------------------------------------------------
@@ -64,19 +65,19 @@ def test_build_dictionary_validates():
         build_dictionary(np.ones((3, 2)), ClusterAssignment([0], 1), gamma=1.0)
 
 
-# --- ridge_code ----------------------------------------------------------------
+# --- ridge coding -------------------------------------------------------------
 
 
 def test_ridge_code_zero_query():
     Q, labels = orthonormal_dictionary()
     dic = build_dictionary(Q, labels)
-    assert not ridge_code(dic, np.zeros(8)).any()
+    assert not code_one(dic, np.zeros(8)).any()
 
 
 def test_ridge_code_recovers_basis_vector():
     Q, labels = orthonormal_dictionary()
     dic = build_dictionary(Q, labels, gamma=1e-6)
-    c = ridge_code(dic, Q[:, 2])
+    c = code_one(dic, Q[:, 2])
     expected = np.zeros(5)
     expected[2] = 1.0
     np.testing.assert_allclose(c, expected, atol=1e-4)
@@ -89,7 +90,7 @@ def test_ridge_code_random_probe_optimality():
     gamma = 1e-6
     dic = build_dictionary(X, labels, gamma=gamma)
     xbar = rng.standard_normal(20)
-    c = ridge_code(dic, xbar)
+    c = code_one(dic, xbar)
 
     def objective(v):
         r = xbar - X @ v
@@ -108,7 +109,7 @@ def test_ridge_code_scale_equivariant():
     dic = build_dictionary(X, labels)
     xbar = rng.standard_normal(10)
     np.testing.assert_allclose(
-        ridge_code(dic, 3.5 * xbar), 3.5 * ridge_code(dic, xbar), rtol=0, atol=1e-12
+        code_one(dic, 3.5 * xbar), 3.5 * code_one(dic, xbar), rtol=0, atol=1e-12
     )
 
 
@@ -116,10 +117,10 @@ def test_ridge_code_dimension_mismatch():
     Q, labels = orthonormal_dictionary()
     dic = build_dictionary(Q, labels)
     with pytest.raises(ValueError):
-        ridge_code(dic, np.zeros(9))
+        code_one(dic, np.zeros(9))
 
 
-# --- sparse_code_oos --------------------------------------------------------------
+# --- sparse coding ------------------------------------------------------------
 
 
 def test_sparse_code_stays_in_subspace():
@@ -129,9 +130,9 @@ def test_sparse_code_stays_in_subspace():
     X = DataMatrix(ds.data.values[:, split.in_sample])
     labels = ClusterAssignment(ds.truth.labels[split.in_sample], 2)
     dic = build_dictionary(X, labels)
-    cfg = SparseSelfRepConfig(lam=1.0 / (2e-4), delta=0.0, kkt_tol=1e-6)
+    cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0, kkt_tol=1e-6)
     j = split.out_of_sample[0]
-    c = sparse_code_oos(dic, ds.data.values[:, j], delta=0.0, cfg=cfg)
+    c = code_one(dic, ds.data.values[:, j], mode="sparse", cfg=cfg)
     own = ds.truth.labels[j]
     off_mass = np.abs(c[labels.labels != own]).sum()
     assert off_mass <= 1e-4
@@ -141,7 +142,8 @@ def test_sparse_code_large_delta_gives_zero():
     Q, labels = orthonormal_dictionary()
     dic = build_dictionary(Q, labels)
     xbar = 0.3 * Q[:, 0]
-    c = sparse_code_oos(dic, xbar, delta=2.0 * np.linalg.norm(xbar))
+    cfg = SparseSelfRepConfig(delta=2.0 * np.linalg.norm(xbar))
+    c = code_one(dic, xbar, mode="sparse", cfg=cfg)
     assert not c.any()
 
 
@@ -153,8 +155,8 @@ def test_sparse_code_matches_oracle_objective():
     xbar = rng.standard_normal(5)
     tau = 0.2 * np.max(np.abs(X.T @ xbar))
     lam = 1.0 / (2.0 * tau)
-    cfg = SparseSelfRepConfig(lam=lam, delta=0.0, kkt_tol=1e-8, max_iterations=100_000)
-    c = sparse_code_oos(dic, xbar, delta=0.0, cfg=cfg)
+    cfg = SparseSelfRepConfig(lam=tau, delta=0.0, kkt_tol=1e-8, max_iterations=100_000)
+    c = code_one(dic, xbar, mode="sparse", cfg=cfg)
     f_solver = lasso_objective(X, xbar, lam, c)
     f_oracle = subgradient_lasso(X, xbar, lam, iterations=300_000)
     assert f_solver <= f_oracle + 1e-6
@@ -213,7 +215,7 @@ def test_class_masks_partition_coefficients():
     np.testing.assert_array_equal(total, cbar)
 
 
-# --- assign / assign_batch ------------------------------------------------------------
+# --- batch assignment against the per-point oracle ----------------------------
 
 
 def test_assign_in_sample_column_gets_own_class():
@@ -222,8 +224,8 @@ def test_assign_in_sample_column_gets_own_class():
     X = ds.data
     dic = build_dictionary(X, ds.truth)
     for j in (0, 20):
-        out = assign(dic, X.values[:, j])
-        assert out.label == ds.truth.labels[j]
+        out = assign_all(dic, X.values[:, [j]])
+        assert out.labels[0] == ds.truth.labels[j]
 
 
 def test_assign_orthogonal_subspaces_margin():
@@ -242,15 +244,16 @@ def test_assign_orthogonal_subspaces_margin():
 def test_assign_unassignable_zero_query():
     Q, labels = orthonormal_dictionary()
     dic = build_dictionary(Q, labels)
+    zero = np.zeros((8, 1))
     with pytest.raises(UnassignableSampleError):
-        assign(dic, np.zeros(8))
+        classify_codes(dic, zero, code_batch(dic, zero))
 
 
 def test_assign_rejects_unknown_mode():
     Q, labels = orthonormal_dictionary()
     dic = build_dictionary(Q, labels)
     with pytest.raises(ValueError):
-        assign(dic, np.ones(8), mode="nearest")
+        code_batch(dic, np.ones((8, 1)), mode="nearest")
 
 
 def test_assign_batch_noise_free_points_reach_true_subspace():
@@ -260,7 +263,7 @@ def test_assign_batch_noise_free_points_reach_true_subspace():
     X = DataMatrix(ds.data.values[:, split.in_sample])
     labels = ClusterAssignment(ds.truth.labels[split.in_sample], 3)
     dic = build_dictionary(X, labels, gamma=1e-6)
-    out = assign_batch(dic, ds.data.values[:, split.out_of_sample])
+    out = assign_all(dic, ds.data.values[:, split.out_of_sample])
     np.testing.assert_array_equal(out.labels, ds.truth.labels[split.out_of_sample])
 
 
@@ -278,7 +281,7 @@ def test_ridge_off_subspace_mass_small_and_residual_vanishes():
     residuals = []
     for gamma in (1e-2, 1e-4, 1e-6):
         dic = build_dictionary(X, labels, gamma=gamma)
-        c = ridge_code(dic, xbar)
+        c = code_one(dic, xbar)
         assert np.abs(c[labels.labels != own]).sum() <= 1e-6
         residuals.append(np.linalg.norm(xbar - X.values @ c))
     assert all(b <= a for a, b in zip(residuals, residuals[1:]))
@@ -289,7 +292,7 @@ def test_assign_batch_self_consistency():
     ds = synth_subspaces(k=3, ambient=40, dim_per=[3, 4, 5],
                          points_per=[30, 30, 30], seed=9)
     dic = build_dictionary(ds.data, ds.truth)
-    out = assign_batch(dic, ds.data)
+    out = assign_all(dic, ds.data)
     agreement = np.mean(out.labels == ds.truth.labels)
     assert agreement >= 0.99
 
@@ -297,7 +300,7 @@ def test_assign_batch_self_consistency():
 def test_assign_batch_empty_input():
     Q, labels = orthonormal_dictionary()
     dic = build_dictionary(Q, labels)
-    out = assign_batch(dic, np.empty((8, 0)))
+    out = assign_all(dic, np.empty((8, 0)))
     assert out.n == 0
 
 
@@ -309,7 +312,7 @@ def test_assign_batch_matches_per_column_assign():
     labels = ClusterAssignment(ds.truth.labels[split.in_sample], 2)
     dic = build_dictionary(X, labels)
     Xbar = ds.data.values[:, split.out_of_sample]
-    batch = assign_batch(dic, Xbar)
+    batch = assign_all(dic, Xbar)
     singles = [assign(dic, Xbar[:, j]).label for j in range(Xbar.shape[1])]
     np.testing.assert_array_equal(batch.labels, singles)
 
@@ -320,7 +323,7 @@ def test_assign_batch_collects_bad_columns():
     Xbar = np.zeros((8, 3))
     Xbar[:, 1] = Q[:, 0]
     with pytest.raises(UnassignableSampleError) as err:
-        assign_batch(dic, Xbar)
+        assign_all(dic, Xbar)
     assert err.value.columns == [0, 2]
 
 
@@ -331,6 +334,5 @@ def test_code_and_classify_compose_to_assign_batch():
     rng = np.random.default_rng(12)
     Xbar = rng.standard_normal((20, 9))
     codes = code_batch(dic, Xbar)
-    np.testing.assert_array_equal(
-        classify_codes(dic, Xbar, codes).labels, assign_batch(dic, Xbar).labels
-    )
+    singles = [assign(dic, Xbar[:, j]).label for j in range(Xbar.shape[1])]
+    np.testing.assert_array_equal(classify_codes(dic, Xbar, codes).labels, singles)

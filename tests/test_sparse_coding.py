@@ -17,8 +17,8 @@ from subclust.sparse_coding import (
 
 
 def strict_cfg(tau, **kw):
-    """Config for a given effective l1 weight tau, no early stop."""
-    args = dict(lam=1.0 / (2.0 * tau), delta=0.0, kkt_tol=1e-8,
+    """Config with l1 weight tau, no early stop."""
+    args = dict(lam=tau, delta=0.0, kkt_tol=1e-8,
                 max_iterations=100_000)
     args.update(kw)
     return SparseSelfRepConfig(**args)
@@ -67,12 +67,12 @@ def test_null_code_threshold_is_exact():
     D = rng.standard_normal((6, 9))
     y = rng.standard_normal(6)
     tau = np.max(np.abs(D.T @ y))  # at the threshold: zero is optimal
-    code = solve_lasso(D, y, 1.0 / (2.0 * tau), strict_cfg(tau))
+    code = solve_lasso(D, y, strict_cfg(tau))
     assert not code.coefficients.any()
     assert code.report.converged
     # just below the threshold the code must be nonzero
     tau_small = 0.99 * tau
-    code = solve_lasso(D, y, 1.0 / (2.0 * tau_small), strict_cfg(tau_small))
+    code = solve_lasso(D, y, strict_cfg(tau_small))
     assert code.coefficients.any()
 
 
@@ -81,7 +81,7 @@ def test_single_column_least_squares():
     d /= np.linalg.norm(d)
     y = 2.0 * d
     tau = 1e-6
-    code = solve_lasso(d[:, None], y, 1.0 / (2.0 * tau), strict_cfg(tau))
+    code = solve_lasso(d[:, None], y, strict_cfg(tau))
     assert code.coefficients[0] == pytest.approx(2.0, abs=1e-4)
 
 
@@ -91,7 +91,7 @@ def test_objective_matches_subgradient_oracle():
     y = rng.standard_normal(5)
     tau = 0.2 * np.max(np.abs(D.T @ y))
     lam = 1.0 / (2.0 * tau)
-    code = solve_lasso(D, y, lam, strict_cfg(tau))
+    code = solve_lasso(D, y, strict_cfg(tau))
     f_solver = lasso_objective(D, y, lam, code.coefficients)
     f_oracle = subgradient_lasso(D, y, lam, iterations=1_000_000)
     # the solver may only be better; the oracle itself carries O(1/sqrt(T)) slack
@@ -105,7 +105,7 @@ def test_kkt_conditions_hold_on_random_problems():
         D = rng.standard_normal((6, 10))
         y = rng.standard_normal(6)
         tau = 0.3 * np.max(np.abs(D.T @ y))
-        code = solve_lasso(D, y, 1.0 / (2.0 * tau), strict_cfg(tau))
+        code = solve_lasso(D, y, strict_cfg(tau))
         assert code.report.converged
         c = code.coefficients
         corr = D.T @ (y - D @ c)
@@ -125,7 +125,7 @@ def test_support_monotone_in_weight():
         top = np.max(np.abs(D.T @ y))
         prev = np.inf
         for tau in np.geomspace(1e-4 * top, 2.0 * top, 10):
-            code = solve_lasso(D, y, 1.0 / (2.0 * tau), strict_cfg(tau, kkt_tol=1e-7))
+            code = solve_lasso(D, y, strict_cfg(tau, kkt_tol=1e-7))
             l1 = np.abs(code.coefficients).sum()
             assert l1 <= prev + 1e-9
             prev = l1
@@ -133,7 +133,7 @@ def test_support_monotone_in_weight():
 
 def test_zero_target_returns_zero_code():
     D = np.random.default_rng(0).standard_normal((4, 6))
-    code = solve_lasso(D, np.zeros(4), 10.0)
+    code = solve_lasso(D, np.zeros(4))
     assert not code.coefficients.any()
     assert code.report.converged
     assert code.report.iterations == 0
@@ -141,7 +141,7 @@ def test_zero_target_returns_zero_code():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        solve_lasso(np.ones((3, 2)), np.ones(4), 1.0)
+        solve_lasso(np.ones((3, 2)), np.ones(4))
 
 
 def test_non_convergence_returns_best_iterate():
@@ -149,9 +149,9 @@ def test_non_convergence_returns_best_iterate():
     D = rng.standard_normal((5, 8))
     y = rng.standard_normal(5)
     tau = 0.1 * np.max(np.abs(D.T @ y))
-    cfg = SparseSelfRepConfig(lam=1.0 / (2 * tau), delta=0.0, kkt_tol=1e-14,
+    cfg = SparseSelfRepConfig(lam=tau, delta=0.0, kkt_tol=1e-14,
                               max_iterations=3)
-    code = solve_lasso(D, y, cfg.lam, cfg)
+    code = solve_lasso(D, y, cfg)
     assert not code.report.converged
     assert code.report.iterations == 3
     assert np.all(np.isfinite(code.coefficients))
@@ -162,9 +162,9 @@ def test_delta_stops_early():
     D = rng.standard_normal((5, 8))
     y = rng.standard_normal(5)
     tau = 1e-4 * np.max(np.abs(D.T @ y))
-    cfg = SparseSelfRepConfig(lam=1.0 / (2 * tau), delta=0.5 * np.linalg.norm(y),
+    cfg = SparseSelfRepConfig(lam=tau, delta=0.5 * np.linalg.norm(y),
                               kkt_tol=1e-12, max_iterations=10_000)
-    code = solve_lasso(D, y, cfg.lam, cfg)
+    code = solve_lasso(D, y, cfg)
     assert code.report.converged
     assert code.report.residual_norm < 0.5 * np.linalg.norm(y)
 
@@ -208,7 +208,7 @@ def test_columns_match_direct_solver_calls():
         Di = Y.copy()
         Di[:, i] = 0.0
         prep = replace(lasso_dictionary(Di), lipschitz=lipschitz)
-        direct = solve_lasso(prep, Y[:, i], cfg.lam, cfg)
+        direct = solve_lasso(prep, Y[:, i], cfg)
         np.testing.assert_allclose(C[:, i], direct.coefficients, rtol=0, atol=1e-10)
 
 
@@ -229,7 +229,7 @@ def test_shared_bound_columns_match_copied_dictionary_path(shape):
         on = c != 0
         assert np.all(np.abs(corr) <= tau * (1.0 + slack))
         assert np.all(np.abs(corr[on] - tau * np.sign(c[on])) <= tau * slack)
-        old = solve_lasso(Di, Y[:, i], 1.0 / (2.0 * tau), strict_cfg(tau))
+        old = solve_lasso(Di, Y[:, i], strict_cfg(tau))
         np.testing.assert_allclose(c, old.coefficients, rtol=0, atol=1e-6)
 
 

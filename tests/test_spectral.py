@@ -228,7 +228,7 @@ def test_spectral_cluster_block_diagonal_exact():
 def test_spectral_cluster_on_sparse_representation():
     ds = synth_subspaces(k=2, ambient=30, dim_per=[3, 3],
                          points_per=[20, 20], seed=6)
-    cfg = SparseSelfRepConfig(lam=1.0 / (2 * 1e-4), delta=0.0, kkt_tol=1e-6)
+    cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0, kkt_tol=1e-6)
     C = sparse_self_representation(ds.data, cfg)
     out = spectral_cluster(C, 2, seed=0)
     assert accuracy(out, ds.truth) == 1.0
@@ -242,7 +242,7 @@ def test_spectral_cluster_zero_coefficients_raise():
 def test_spectral_cluster_permutation_invariance():
     ds = synth_subspaces(k=2, ambient=20, dim_per=[2, 2],
                          points_per=[15, 15], seed=7)
-    cfg = SparseSelfRepConfig(lam=1.0 / (2 * 1e-4), delta=0.0, kkt_tol=1e-6)
+    cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0, kkt_tol=1e-6)
     C = sparse_self_representation(ds.data, cfg)
     out = spectral_cluster(C, 2, seed=0)
     base = accuracy(out, ds.truth)
