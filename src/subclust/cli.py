@@ -1,11 +1,12 @@
 """Command-line front end: synth, cluster, bench, eval.
 
-The clustering pipeline runs "sampling, clustering, coding, classifying":
-split the data, cluster the in-sample part with SSC or LRR plus spectral
-clustering, then assign every out-of-sample point by linear coding over the
-in-sample dictionary and minimal regularized residual. ``ssc`` and ``lrr``
-run the whole-data pipelines instead (only feasible at small n).
-``run_pipeline`` is that sequence; ``cluster`` and ``bench`` both run it.
+The clustering pipeline runs "sampling, clustering, coding, classifying".
+``fit`` splits the data, clusters the in-sample part with SSC or LRR plus
+spectral clustering and builds the out-of-sample dictionary; ``assign``
+codes points over it and labels each by its minimal regularized residual.
+``run_pipeline`` is ``fit`` then ``assign``; ``cluster`` and ``bench`` run
+it, and ``bench`` then times ``assign`` again on the same fit. ``ssc`` and
+``lrr`` are ``sssc`` and ``slrr`` with p = n.
 
 ``RunConfig`` is the one list of knobs: the ``cluster`` flags, the config
 file keys with their type and choice checks, and the report's
@@ -82,7 +83,6 @@ class RunConfig:
     mu_init: float = 1e-2
     rho: float = 1.5
     mu_max: float = 1e10
-    max_full_n: int = 3000
     input: str | None = _knob(role="io")
     labels: str | None = _knob(None, role="io", help="optional truth sidecar for accuracy/NMI")
     output: str | None = _knob(role="io")
@@ -141,25 +141,39 @@ def _checked(f, value, name: str):
 
 
 @dataclass
+class Model:
+    """What ``fit`` learns from the in-sample points; ``assign`` labels
+    further points against it. ``dictionary`` is None when p = n."""
+
+    config: RunConfig
+    split: dataio.SampleSplit
+    labels: np.ndarray  # of the in-sample points, in split.in_sample order
+    dictionary: oos.ClassDictionary | None
+    lasso_cfg: SparseSelfRepConfig
+    solver: dict
+    converged: bool
+    excluded_columns: list
+    stage_seconds: dict
+
+
+@dataclass
 class RunReport:
     labels: ClusterAssignment
     stage_seconds: dict
     total_seconds: float
-    converged: bool
-    solver: dict
-    config: RunConfig
+    model: Model
     accuracy: float | None = None
     nmi: float | None = None
-    excluded_columns: list | None = None
 
     def to_json_dict(self, labels_file=None) -> dict:
-        cfg = self.config
+        model = self.model
+        cfg = model.config
         return {
             "schema": "subclust-report-v1",
             "algorithm": cfg.algorithm,
             "n": self.labels.n,
             "k": cfg.k,
-            "p": cfg.p,
+            "p": model.split.p,
             "seed": cfg.seed,
             "parameters": {
                 _key(f): getattr(cfg, f.name)
@@ -167,21 +181,21 @@ class RunReport:
             },
             "stage_seconds": self.stage_seconds,
             "total_seconds": self.total_seconds,
-            "converged": self.converged,
-            "solver": self.solver,
-            "excluded_dictionary_columns": self.excluded_columns or [],
+            "converged": model.converged,
+            "solver": model.solver,
+            "excluded_dictionary_columns": model.excluded_columns,
             "accuracy": self.accuracy,
             "nmi": self.nmi,
             "labels_file": str(labels_file) if labels_file else None,
         }
 
 
-def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | None = None) -> RunReport:
-    """Run the configured pipeline on an in-memory matrix."""
+def fit(cfg: RunConfig, data: DataMatrix) -> Model:
+    """Sample p columns of ``data``, cluster them and build the dictionary
+    that the other n - p columns are assigned against."""
     # solver knobs are checked before any solve, so a bad value is a
     # one-line usage error instead of a traceback from deep inside a solver
-    if not 0 < cfg.lam < math.inf:
-        raise UsageError(f"--lambda must be positive and finite, got {cfg.lam}")
+    sparse = cfg.algorithm in ("sssc", "ssc")
     try:
         lasso_cfg = SparseSelfRepConfig(
             lam=cfg.lam,
@@ -189,45 +203,28 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
             max_iterations=cfg.lasso_max_iterations,
             kkt_tol=cfg.kkt_tol,
         )
-        lrr_cfg = None
-        if cfg.algorithm in ("slrr", "lrr"):
-            lrr_cfg = LrrConfig(
-                lam=cfg.lam,
-                error_norm=cfg.error_norm,
-                mu_init=cfg.mu_init,
-                rho=cfg.rho,
-                mu_max=cfg.mu_max,
-                constraint_tol=cfg.constraint_tol,
-                max_iterations=cfg.lrr_max_iterations,
-            )
+        lrr_cfg = None if sparse else LrrConfig(
+            lam=cfg.lam,
+            error_norm=cfg.error_norm,
+            mu_init=cfg.mu_init,
+            rho=cfg.rho,
+            mu_max=cfg.mu_max,
+            constraint_tol=cfg.constraint_tol,
+            max_iterations=cfg.lrr_max_iterations,
+        )
     except ValueError as exc:
         raise UsageError(f"invalid solver setting: {exc}") from None
     if not cfg.gamma > 0:
         raise UsageError(f"--gamma must be positive, got {cfg.gamma}")
     if cfg.restarts < 1:
         raise UsageError(f"--restarts must be >= 1, got {cfg.restarts}")
-    if cfg.pca_energy is not None:
-        if not 0.0 < cfg.pca_energy <= 1.0:
-            raise UsageError(f"--pca-energy must lie in (0, 1], got {cfg.pca_energy}")
-        data = dataio.pca_retain_energy(data, cfg.pca_energy)
     n = data.n
-    full_data = cfg.algorithm in ("ssc", "lrr")
-    if full_data:
-        if n > cfg.max_full_n:
-            raise UsageError(
-                f"{cfg.algorithm} clusters the whole data set and is capped at "
-                f"n <= {cfg.max_full_n} (got n={n}); use {'s' + cfg.algorithm} "
-                f"with --p, or raise --max-full-n"
-            )
-        p = n
-    else:
-        if cfg.p is None:
-            raise UsageError(f"--p is required for algorithm {cfg.algorithm}")
-        p = cfg.p
-        if not 1 <= p <= n:
-            raise UsageError(f"--p must lie in [1, {n}], got {p}")
-    if p < 2:
-        raise UsageError(f"self-representation needs at least 2 in-sample points, got {p}")
+    # ssc and lrr are sssc and slrr on the whole data set
+    p = n if cfg.algorithm in ("ssc", "lrr") else cfg.p
+    if p is None:
+        raise UsageError(f"--p is required for algorithm {cfg.algorithm}")
+    if not 2 <= p <= n:  # self-representation needs two in-sample points
+        raise UsageError(f"--p must lie in [2, {n}], got {p}")
     if not 1 <= cfg.k <= p:
         raise UsageError(
             f"--k must lie in [1, {p}], the number of in-sample points, got {cfg.k}"
@@ -238,9 +235,7 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
     t_sampling = time.perf_counter()
 
     X = DataMatrix(data.values[:, split.in_sample])
-    solver: dict = {}
-    excluded: list = []
-    if cfg.algorithm in ("sssc", "ssc"):
+    if sparse:
         C, reports = sparse_self_representation(X, lasso_cfg, return_reports=True)
         n_conv = sum(r.converged for r in reports)
         solver = {
@@ -261,14 +256,13 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
             "residual": solution.report.residual_norm,
         }
         converged = solution.report.converged
-    labels_in = spectral.spectral_cluster(
+    labels = spectral.spectral_cluster(
         C, cfg.k, restarts=cfg.restarts, seed=cfg.seed,
         row_normalize=cfg.row_normalize,
-    )
-    labels = np.empty(n, dtype=int)
-    labels[split.in_sample] = labels_in.labels
+    ).labels
     keep = np.arange(p)
-    if cfg.algorithm == "slrr" and split.out_of_sample.size:
+    excluded: list = []
+    if not sparse and split.out_of_sample.size:
         # drop corrupted in-sample columns from the dictionary; the floor
         # keeps solver noise from flagging columns on clean data
         floor = 1e-3 * float(np.median(np.linalg.norm(X.values, axis=0)))
@@ -276,45 +270,65 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
         if 0 < flagged.size < p:
             keep = np.setdiff1d(keep, flagged)
             excluded = split.in_sample[flagged].tolist()
-    t_insample = t_dictionary = t_coding = t_classifying = time.perf_counter()
+    t_insample = time.perf_counter()
 
+    dictionary = None
     if split.out_of_sample.size:
         dictionary = oos.build_dictionary(
             DataMatrix(X.values[:, keep]),
-            ClusterAssignment(labels_in.labels[keep], cfg.k),
+            ClusterAssignment(labels[keep], cfg.k),
             gamma=cfg.gamma,
         )
-        t_dictionary = time.perf_counter()
-        Xbar = data.values[:, split.out_of_sample]
-        codes = oos.code_batch(dictionary, Xbar, mode=cfg.oos_coding, cfg=lasso_cfg)
-        t_coding = time.perf_counter()
-        regularized = cfg.oos_coding == "ridge"
-        labels_out = oos.classify_codes(dictionary, Xbar, codes, regularized=regularized)
-        t_classifying = time.perf_counter()
-        labels[split.out_of_sample] = labels_out.labels
+    stage_seconds = {
+        "sampling": t_sampling - t0,
+        "insample_clustering": t_insample - t_sampling,
+        "dictionary": time.perf_counter() - t_insample,
+    }
+    return Model(
+        config=cfg, split=split, labels=labels, dictionary=dictionary,
+        lasso_cfg=lasso_cfg, solver=solver, converged=converged,
+        excluded_columns=excluded, stage_seconds=stage_seconds,
+    )
 
+
+def assign(model: Model, Xbar: np.ndarray) -> tuple[ClusterAssignment, dict]:
+    """Code each column of ``Xbar`` over the model's dictionary and label it
+    by its smallest class residual, without solving the in-sample problem
+    again. Also returns the ``coding`` and ``classifying`` seconds."""
+    cfg = model.config
+    if model.dictionary is None:  # p = n leaves no point to assign
+        return ClusterAssignment(np.empty(0, dtype=int), cfg.k), {"coding": 0.0, "classifying": 0.0}
+    t0 = time.perf_counter()
+    codes = oos.code_batch(model.dictionary, Xbar, mode=cfg.oos_coding, cfg=model.lasso_cfg)
+    t_coding = time.perf_counter()
+    regularized = cfg.oos_coding == "ridge"
+    labels = oos.classify_codes(model.dictionary, Xbar, codes, regularized=regularized)
+    t_classifying = time.perf_counter()
+    return labels, {"coding": t_coding - t0, "classifying": t_classifying - t_coding}
+
+
+def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | None = None) -> RunReport:
+    """Run the configured pipeline on an in-memory matrix: PCA when asked
+    for, ``fit`` on the in-sample points, then ``assign`` on the rest."""
+    if cfg.pca_energy is not None:
+        if not 0.0 < cfg.pca_energy <= 1.0:
+            raise UsageError(f"--pca-energy must lie in (0, 1], got {cfg.pca_energy}")
+        data = dataio.pca_retain_energy(data, cfg.pca_energy)
+    t0 = time.perf_counter()
+    model = fit(cfg, data)
+    out = model.split.out_of_sample
+    labels_out, seconds = assign(model, data.values[:, out])
+    labels = np.empty(data.n, dtype=int)
+    labels[model.split.in_sample] = model.labels
+    labels[out] = labels_out.labels
     assignment = ClusterAssignment(labels, cfg.k)
-    total = time.perf_counter() - t0
     report = RunReport(
         labels=assignment,
-        stage_seconds={
-            "sampling": t_sampling - t0,
-            "insample_clustering": t_insample - t_sampling,
-            "dictionary": t_dictionary - t_insample,
-            "coding": t_coding - t_dictionary,
-            "classifying": t_classifying - t_coding,
-        },
-        total_seconds=total,
-        converged=converged,
-        solver=solver,
-        config=cfg,
-        excluded_columns=excluded,
+        stage_seconds={**model.stage_seconds, **seconds},
+        total_seconds=time.perf_counter() - t0,
+        model=model,
     )
     if truth is not None:
-        if truth.n != n:
-            raise DataFormatError(
-                f"truth has {truth.n} labels for {n} samples"
-            )
         report.accuracy = metrics.accuracy(assignment, truth)
         report.nmi = metrics.nmi(assignment, truth)
     return report
@@ -331,13 +345,16 @@ def _write_labels(path: Path, labels: np.ndarray) -> None:
 
 
 def cmd_synth(args) -> int:
-    dims = [int(x) for x in args.dims.split(",")]
-    points = [int(x) for x in args.points.split(",")]
-    dataset = dataio.synth_subspaces(
-        k=args.k, ambient=args.ambient, dim_per=dims, points_per=points,
-        noise_sigma=args.noise_sigma, corrupt_frac=args.corrupt_frac,
-        seed=args.seed,
-    )
+    try:
+        dataset = dataio.synth_subspaces(
+            k=args.k, ambient=args.ambient,
+            dim_per=[int(x) for x in args.dims.split(",")],
+            points_per=[int(x) for x in args.points.split(",")],
+            noise_sigma=args.noise_sigma, corrupt_frac=args.corrupt_frac,
+            seed=args.seed,
+        )
+    except ValueError as exc:  # a flag value the generator rejects
+        raise UsageError(str(exc)) from None
     out = Path(args.out)
     np.savetxt(out, dataset.data.values.T, fmt="%.17g", delimiter=",")
     labels = dataset.truth.labels.copy()
@@ -400,10 +417,10 @@ def cmd_cluster(args) -> int:
         "accuracy": report.accuracy,
         "nmi": report.nmi,
         "total_seconds": round(report.total_seconds, 4),
-        "converged": report.converged,
+        "converged": report.model.converged,
     }
     print(json.dumps(summary))
-    if not report.converged:
+    if not report.model.converged:
         print("warning: solver did not converge; report written anyway", file=sys.stderr)
         return 3
     return 0
@@ -412,12 +429,17 @@ def cmd_cluster(args) -> int:
 def cmd_bench(args) -> int:
     """Run the ``cluster`` pipeline on synthetic data across problem sizes.
 
-    Each n runs ``run_pipeline`` ``--repeats`` times. ``classification_seconds``
-    is the minimum over the repeats of the per-query work (coding +
-    classifying), which excludes the n-independent dictionary factorization;
-    the log-log slope of that time against n checks the linear-in-n claim.
-    Every other column comes from the first repeat.
+    Each n runs ``run_pipeline`` once, then ``assign`` on the same model
+    ``--repeats`` - 1 more times. ``classification_seconds`` is the minimum
+    over the repeats of the per-query work (coding + classifying), which
+    excludes the n-independent dictionary factorization; the log-log slope
+    of that time against n checks the linear-in-n claim. Every other column
+    comes from the ``run_pipeline`` call.
     """
+    if args.k < 1:
+        raise UsageError(f"--k must be >= 1, got {args.k}")
+    if args.repeats < 1:
+        raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     cfg = RunConfig(
         algorithm=args.algorithm, k=args.k, p=args.p, seed=args.seed, lam=args.lam,
         input=None, output=None,
@@ -427,27 +449,29 @@ def cmd_bench(args) -> int:
         points = [n // args.k] * args.k
         for i in range(n - sum(points)):
             points[i] += 1
-        dataset = dataio.synth_subspaces(
-            k=args.k, ambient=args.ambient, dim_per=[args.dim] * args.k,
-            points_per=points, seed=args.seed,
-        )
-        reports = [
-            run_pipeline(cfg, dataset.data, dataset.truth)
-            for _ in range(max(args.repeats, 1))
+        try:
+            dataset = dataio.synth_subspaces(
+                k=args.k, ambient=args.ambient, dim_per=[args.dim] * args.k,
+                points_per=points, seed=args.seed,
+            )
+        except ValueError as exc:  # a flag value the generator rejects
+            raise UsageError(str(exc)) from None
+        report = run_pipeline(cfg, dataset.data, dataset.truth)
+        Xbar = dataset.data.values[:, report.model.split.out_of_sample]
+        timings = [report.stage_seconds] + [
+            assign(report.model, Xbar)[1] for _ in range(args.repeats - 1)
         ]
-        first = reports[0].stage_seconds
         runs.append(
             {
                 "n": n,
-                "accuracy": reports[0].accuracy,
-                "sampling_seconds": first["sampling"],
-                "insample_seconds": first["insample_clustering"],
-                "dictionary_seconds": first["dictionary"],
+                "accuracy": report.accuracy,
+                "sampling_seconds": report.stage_seconds["sampling"],
+                "insample_seconds": report.stage_seconds["insample_clustering"],
+                "dictionary_seconds": report.stage_seconds["dictionary"],
                 "classification_seconds": min(
-                    r.stage_seconds["coding"] + r.stage_seconds["classifying"]
-                    for r in reports
+                    t["coding"] + t["classifying"] for t in timings
                 ),
-                "total_seconds": reports[0].total_seconds,
+                "total_seconds": report.total_seconds,
             }
         )
 

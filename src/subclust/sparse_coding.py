@@ -48,8 +48,8 @@ class SparseSelfRepConfig:
     kkt_tol: float = 1e-4
 
     def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
+        if not 0 < self.lam < np.inf:
+            raise ValueError(f"lam must be positive and finite, got {self.lam}")
         if self.delta < 0:
             raise ValueError(f"delta must be nonnegative, got {self.delta}")
         if self.max_iterations < 1:

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subclust import dataio
+from subclust import cli, dataio
 from subclust.cli import RunConfig, build_parser, main, run_pipeline
 
 
@@ -52,6 +52,36 @@ def test_synth_deterministic_bytes(tmp_path):
         )
         out.append((data.read_bytes(), data.with_suffix(".labels").read_bytes()))
     assert out[0] == out[1]
+
+
+SYNTH_FLAGS = ["--k", "2", "--ambient", "10", "--dims", "2,2", "--points", "5,5", "--seed", "0"]
+BENCH_FLAGS = ["--n", "100", "--p", "20", "--ambient", "30"]
+
+
+@pytest.mark.parametrize(
+    "command, flags",
+    [
+        ("synth", ["--dims", "a,b"]),
+        ("synth", ["--ambient", "5", "--dims", "4,4"]),
+        ("synth", ["--k", "3", "--dims", "2,2"]),
+        ("bench", ["--k", "0"]),
+        ("bench", ["--ambient", "8", "--k", "4", "--dim", "3"]),
+        ("bench", ["--n", "10", "--p", "4", "--k", "4", "--dim", "5"]),
+        ("bench", ["--repeats", "0"]),
+    ],
+    ids=[
+        "synth-dims-not-integers", "synth-dims-above-ambient", "synth-dims-not-k",
+        "bench-k-0", "bench-dims-above-ambient", "bench-points-below-dim", "bench-repeats-0",
+    ],
+)
+def test_synth_and_bench_bad_flags_are_usage_errors(tmp_path, capsys, command, flags):
+    # later flags win, so ``flags`` overrides the valid defaults before it
+    defaults = {"synth": SYNTH_FLAGS + ["--out", str(tmp_path / "d.csv")], "bench": BENCH_FLAGS}
+    rc = run_cli(command, *defaults[command], *flags)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("subclust: error:")
 
 
 def test_synth_marks_corrupted_with_minus_one(tmp_path):
@@ -100,19 +130,22 @@ def test_cluster_slrr_exact_on_clean_data(tmp_path, synth_files):
 
 def test_cluster_full_sample_matches_whole_data_mode(tmp_path, synth_files):
     data, labels = synth_files
-    paths = {}
-    for name, algorithm, extra in (
-        ("sssc", "sssc", ["--p", "80"]),
-        ("ssc", "ssc", []),
+    for sampled, whole in (
+        (["sssc", "--p", "80"], ["ssc"]),
+        (["slrr", "--p", "80"], ["lrr"]),
+        (["sssc", "--p", "80"], ["ssc", "--p", "40"]),  # ssc takes p = n over --p
     ):
-        out = tmp_path / f"{name}.json"
-        rc = run_cli(
-            "cluster", "--algorithm", algorithm, "--input", str(data),
-            "--k", "2", "--seed", "3", "--output", str(out), *extra,
-        )
-        assert rc == 0
-        paths[name] = out.with_suffix(".labels").read_text()
-    assert paths["sssc"] == paths["ssc"]  # p = n: no out-of-sample stage
+        outputs = []
+        for name, (algorithm, *extra) in (("sampled", sampled), ("whole", whole)):
+            out = tmp_path / f"{name}.json"
+            rc = run_cli(
+                "cluster", "--algorithm", algorithm, "--input", str(data),
+                "--k", "2", "--seed", "3", "--output", str(out), *extra,
+            )
+            assert rc == 0
+            assert json.loads(out.read_text())["p"] == 80, whole  # the p used: n
+            outputs.append(out.with_suffix(".labels").read_bytes())
+        assert outputs[0] == outputs[1], whole  # p = n: no out-of-sample stage
 
 
 def test_cluster_deterministic_outputs(tmp_path, synth_files):
@@ -310,7 +343,6 @@ NON_DEFAULT = {
     "kkt_tol": 2e-4, "lasso_max_iterations": 15000, "lrr_max_iterations": 400,
     "constraint_tol": 2e-7, "oos_coding": "sparse", "row_normalize": False,
     "pca_energy": 1.0, "mu_init": 2e-2, "rho": 1.6, "mu_max": 1e9,
-    "max_full_n": 2000,
 }
 
 
@@ -417,16 +449,6 @@ def test_cluster_non_convergence_exits_3_with_report(tmp_path, synth_files):
     assert out.with_suffix(".labels").exists()
 
 
-def test_cluster_full_mode_cap(tmp_path, synth_files):
-    data, _ = synth_files
-    rc = run_cli(
-        "cluster", "--algorithm", "ssc", "--input", str(data),
-        "--k", "2", "--seed", "0", "--max-full-n", "10",
-        "--output", str(tmp_path / "x.json"),
-    )
-    assert rc == 1
-
-
 def test_usage_error_exit_code():
     assert run_cli("cluster", "--algorithm", "nope") == 1
 
@@ -505,6 +527,23 @@ def test_bench_scaling_runs(tmp_path):
     assert len(result["runs"]) == 2
     assert result["classification_slope"] is not None
     assert all(r["accuracy"] == 1.0 for r in result["runs"])
+
+
+def test_bench_solves_the_in_sample_problem_once_per_n(monkeypatch):
+    calls = []
+    solve = cli.sparse_self_representation
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "sparse_self_representation", counting)
+    rc = run_cli(
+        "bench", "--n", "300", "600", "--p", "50", "--k", "2", "--ambient", "30",
+        "--dim", "3", "--repeats", "3", "--seed", "0",
+    )
+    assert rc == 0
+    assert len(calls) == 2
 
 
 def test_bench_accuracy_matches_run_pipeline(tmp_path):

@@ -1,9 +1,27 @@
 """The benchmark's traced mode wraps library functions by name; keep them there."""
 
 import importlib.util
+import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
-TRACED_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "traced_cli.py"
+from subclust.cli import main
+
+ROOT = Path(__file__).resolve().parent.parent
+TRACED_CLI = ROOT / "perfbench" / "traced_cli.py"
+
+# spans the benchmark's per-layer numbers are read from; one a run never
+# records would read as 0 seconds instead of failing
+PIPELINE_SPANS = {
+    "cli.sparse_self_representation",
+    "cli.solve_lrr",
+    "cli.outlier_columns",
+    "oos.build_dictionary",
+    "oos.code_batch",
+    "oos.classify_codes",
+}
 
 
 def test_traced_names_resolve_to_callables():
@@ -16,3 +34,26 @@ def test_traced_names_resolve_to_callables():
         if not callable(getattr(module, attr, None))
     ]
     assert not missing
+
+
+def test_traced_runs_record_every_pipeline_span(tmp_path):
+    data = tmp_path / "data.csv"
+    assert main([
+        "synth", "--k", "2", "--ambient", "30", "--dims", "3,3",
+        "--points", "40,40", "--seed", "0", "--out", str(data),
+    ]) == 0
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    recorded = set()
+    for algorithm in ("sssc", "slrr"):
+        trace = tmp_path / f"{algorithm}.trace.json"
+        proc = subprocess.run(
+            [
+                sys.executable, str(TRACED_CLI), str(trace), "cluster",
+                "--algorithm", algorithm, "--input", str(data), "--k", "2",
+                "--p", "30", "--seed", "0", "--output", str(tmp_path / f"{algorithm}.json"),
+            ],
+            env=env, capture_output=True, text=True,
+        )
+        assert proc.returncode == 0, proc.stderr
+        recorded |= {span[0] for span in json.loads(trace.read_text())["spans"]}
+    assert PIPELINE_SPANS <= recorded, PIPELINE_SPANS - recorded
