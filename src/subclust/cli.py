@@ -48,9 +48,9 @@ class UsageError(SubclustError, ValueError):
 
 def _knob(default=MISSING, **metadata):
     """A RunConfig field. ``metadata`` may hold ``key`` (the config-file key
-    and flag name, when not the field name), ``choices``, ``help``, and
-    ``role``: "identity" fields head the report, "io" fields stay out of it,
-    every other field is listed under ``parameters``."""
+    and flag name, when not the field name), ``choices``, ``minimum``,
+    ``help``, and ``role``: "identity" fields head the report, "io" fields
+    stay out of it, every other field is listed under ``parameters``."""
     return field(default=default, metadata=metadata)
 
 
@@ -67,12 +67,12 @@ class RunConfig:
     algorithm: str = _knob(choices=ALGORITHMS, role="identity")
     k: int = _knob(role="identity")
     p: int | None = _knob(None, role="identity")
-    seed: int = _knob(role="identity")
+    seed: int = _knob(role="identity", minimum=0)
     lam: float | None = _knob(None, key="lambda")
     delta: float = 1e-3
     gamma: float = 1e-6
     error_norm: str = _knob("l21", choices=ERROR_NORMS)
-    restarts: int = 20
+    restarts: int = _knob(20, minimum=1)
     kkt_tol: float = 1e-4
     lasso_max_iterations: int = 20000
     lrr_max_iterations: int = 500
@@ -118,8 +118,8 @@ _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number
 
 
 def _checked(f, value, name: str):
-    """``value`` for field ``f``, type- and choice-checked; ``name`` says
-    where it came from in the error message."""
+    """``value`` for field ``f``, checked against its type, choices and
+    minimum; ``name`` says where it came from in the error message."""
     base, optional = _kind(f)
     if value is None and optional:
         return None
@@ -137,6 +137,9 @@ def _checked(f, value, name: str):
     choices = f.metadata.get("choices")
     if choices and value not in choices:
         raise UsageError(f"{name} must be one of {choices}, got {value!r}")
+    minimum = f.metadata.get("minimum")
+    if minimum is not None and value < minimum:
+        raise UsageError(f"{name} must be >= {minimum}, got {value!r}")
     return float(value) if base is float else value
 
 
@@ -216,8 +219,6 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
         raise UsageError(f"invalid solver setting: {exc}") from None
     if not cfg.gamma > 0:
         raise UsageError(f"--gamma must be positive, got {cfg.gamma}")
-    if cfg.restarts < 1:
-        raise UsageError(f"--restarts must be >= 1, got {cfg.restarts}")
     n = data.n
     # ssc and lrr are sssc and slrr on the whole data set
     p = n if cfg.algorithm in ("ssc", "lrr") else cfg.p
@@ -236,7 +237,7 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
 
     X = DataMatrix(data.values[:, split.in_sample])
     if sparse:
-        C, reports = sparse_self_representation(X, lasso_cfg, return_reports=True)
+        C, reports = sparse_self_representation(X, lasso_cfg)
         n_conv = sum(r.converged for r in reports)
         solver = {
             "type": "lasso",
@@ -274,11 +275,17 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
 
     dictionary = None
     if split.out_of_sample.size:
-        dictionary = oos.build_dictionary(
-            DataMatrix(X.values[:, keep]),
-            ClusterAssignment(labels[keep], cfg.k),
-            gamma=cfg.gamma,
-        )
+        try:
+            dictionary = oos.build_dictionary(
+                DataMatrix(X.values[:, keep]),
+                ClusterAssignment(labels[keep], cfg.k),
+                gamma=cfg.gamma,
+            )
+        except np.linalg.LinAlgError:  # gamma is lost in the rounding of X^T X
+            raise DataFormatError(
+                f"the ridge system X^T X + gamma I is not positive definite at "
+                f"--gamma {cfg.gamma}; raise --gamma or rescale the data"
+            ) from None
     stage_seconds = {
         "sampling": t_sampling - t0,
         "insample_clustering": t_insample - t_sampling,
@@ -310,6 +317,11 @@ def assign(model: Model, Xbar: np.ndarray) -> tuple[ClusterAssignment, dict]:
 def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | None = None) -> RunReport:
     """Run the configured pipeline on an in-memory matrix: PCA when asked
     for, ``fit`` on the in-sample points, then ``assign`` on the rest."""
+    flat = data.values.ravel(order="K")
+    with np.errstate(over="ignore"):  # the overflow is what is tested for
+        sum_sq = np.dot(flat, flat)
+    if not np.isfinite(sum_sq):
+        raise DataFormatError("the sum of squares of the data overflows; rescale the data")
     if cfg.pca_energy is not None:
         if not 0.0 < cfg.pca_energy <= 1.0:
             raise UsageError(f"--pca-energy must lie in (0, 1], got {cfg.pca_energy}")

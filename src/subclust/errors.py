@@ -8,7 +8,7 @@ class SubclustError(Exception):
 
 
 class DataFormatError(SubclustError, ValueError):
-    """A data or label file could not be parsed."""
+    """Input data that cannot be parsed, or that the solvers cannot take as given."""
 
 
 class DegenerateAffinityError(SubclustError, ValueError):

@@ -24,6 +24,10 @@ from .types import DataMatrix, SolverReport
 
 ERROR_NORMS = ("l21", "l1", "fro")
 
+# a column is an outlier when its error norm exceeds this multiple of the
+# median column norm
+OUTLIER_RATIO = 10.0
+
 
 @dataclass(frozen=True)
 class LrrConfig:
@@ -54,13 +58,11 @@ class LrrConfig:
 
 @dataclass(frozen=True)
 class LrrSolution:
-    """Coefficients C, error term E and solver stats; optionally the
-    augmented-Lagrangian diagnostic trace (pre/post value per iteration)."""
+    """Coefficients C, error term E and solver stats."""
 
     C: np.ndarray
     E: np.ndarray
     report: SolverReport
-    objective_trace: list | None = None
 
 
 def svt(M: np.ndarray, tau: float) -> tuple[np.ndarray, float]:
@@ -106,7 +108,7 @@ def _error_value(E: np.ndarray, norm: str) -> float:
     return float((E * E).sum())
 
 
-def solve_lrr(Y, cfg: LrrConfig | None = None, track_objective: bool = False) -> LrrSolution:
+def solve_lrr(Y, cfg: LrrConfig | None = None) -> LrrSolution:
     """Inexact-ALM solve of min ||C||_* + lam*||E||_err s.t. Y = YC + E.
 
     The iteration runs over A = YQ, Q the row-space basis of Y: C~, J~
@@ -119,11 +121,6 @@ def solve_lrr(Y, cfg: LrrConfig | None = None, track_objective: bool = False) ->
     splitting residual ||C - J||_F fall below
     constraint_tol * max(1, ||Y||_F). Hitting max_iterations returns the
     best (last) iterate with converged=False.
-
-    With ``track_objective`` the augmented Lagrangian is evaluated before
-    and after each iteration's primal updates (multipliers held fixed) and
-    recorded; the exact block minimizations make it non-increasing, which
-    is asserted as a diagnostic.
     """
     Y = Y if isinstance(Y, DataMatrix) else DataMatrix(np.asarray(Y, dtype=float))
     if Y.n < 2:
@@ -151,27 +148,9 @@ def solve_lrr(Y, cfg: LrrConfig | None = None, track_objective: bool = False) ->
     L2 = np.zeros((r, n))  # multiplier for C = J
     mu = cfg.mu_init
 
-    R1 = V - A @ C - E
-    R2 = C - J
-    nuc_J = 0.0
-    err_E = _error_value(E, cfg.error_norm)
-    trace = [] if track_objective else None
-
-    def aug_lagrangian(nuc, err, r1, r2):
-        return (
-            nuc
-            + cfg.lam * err
-            + float((L1 * r1).sum())
-            + float((L2 * r2).sum())
-            + 0.5 * mu * (float((r1 * r1).sum()) + float((r2 * r2).sum()))
-        )
-
     converged = False
     it = 0
     for it in range(1, cfg.max_iterations + 1):
-        if track_objective:
-            pre = aug_lagrangian(nuc_J, err_E, R1, R2)
-
         # J-update: prox of the nuclear norm at C + L2/mu
         J, nuc_J = svt(C + L2 / mu, 1.0 / mu)
 
@@ -187,13 +166,6 @@ def solve_lrr(Y, cfg: LrrConfig | None = None, track_objective: bool = False) ->
         R1 = V - YC - E
         R2 = C - J
 
-        if track_objective:
-            post = aug_lagrangian(nuc_J, err_E, R1, R2)
-            trace.append((pre, post))
-            assert post <= pre + 1e-8 * max(1.0, abs(pre)), (
-                f"augmented Lagrangian rose at iteration {it}: {pre} -> {post}"
-            )
-
         L1 = L1 + mu * R1
         L2 = L2 + mu * R2
         mu = min(cfg.rho * mu, cfg.mu_max)
@@ -205,17 +177,17 @@ def solve_lrr(Y, cfg: LrrConfig | None = None, track_objective: bool = False) ->
             break
 
     objective = nuc_J + cfg.lam * err_E
-    residual = max(float(np.linalg.norm(R1)), float(np.linalg.norm(R2))) / y_scale
+    residual = max(r1, r2) / y_scale
     report = SolverReport(it, objective, residual, converged)
-    return LrrSolution(C=Q @ C, E=E, report=report, objective_trace=trace)
+    return LrrSolution(C=Q @ C, E=E, report=report)
 
 
-def outlier_columns(E: np.ndarray, ratio: float = 10.0, floor: float = 0.0) -> np.ndarray:
-    """Columns of E whose norm exceeds ratio x the median column norm.
+def outlier_columns(E: np.ndarray, floor: float = 0.0) -> np.ndarray:
+    """Columns of E whose norm exceeds OUTLIER_RATIO x the median column norm.
 
     ``floor`` adds an absolute lower bound on the flagged norms, for callers
     that must not flag solver noise when no real corruption is present.
     """
     norms = np.linalg.norm(np.asarray(E, dtype=float), axis=0)
-    threshold = max(ratio * float(np.median(norms)), floor)
+    threshold = max(OUTLIER_RATIO * float(np.median(norms)), floor)
     return np.flatnonzero(norms > threshold)

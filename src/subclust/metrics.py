@@ -1,7 +1,7 @@
-"""Clustering evaluation: optimal label matching, accuracy, NMI.
+"""Clustering evaluation: accuracy under the best label matching, and NMI.
 
-Accuracy matches predicted clusters to truth classes by a minimum-cost
-assignment on the negated contingency counts (Kuhn-Munkres); NMI is mutual
+Accuracy matches predicted clusters to truth classes by a maximum-weight
+assignment on the contingency counts (Kuhn-Munkres); NMI is mutual
 information over the contingency table normalized by the larger entropy,
 with base-2 logs and the 0 log 0 = 0 convention.
 """
@@ -33,20 +33,6 @@ class ContingencyTable:
         object.__setattr__(self, "counts", c)
 
 
-@dataclass(frozen=True)
-class LabelMapping:
-    """Minimum-cost assignment between two label sets.
-
-    ``mapping`` sends predicted ids to truth ids injectively. ``matched``
-    is the count of agreeing samples when the cost matrix was a negated
-    contingency table (it equals -total_cost rounded, clamped at 0).
-    """
-
-    mapping: dict
-    matched: int
-    total_cost: float
-
-
 def contingency(pred: ClusterAssignment, truth: ClusterAssignment) -> ContingencyTable:
     if pred.n != truth.n:
         raise ValueError(f"label lengths differ: {pred.n} vs {truth.n}")
@@ -55,43 +41,15 @@ def contingency(pred: ClusterAssignment, truth: ClusterAssignment) -> Contingenc
     return ContingencyTable(counts, pred.n)
 
 
-def hungarian(cost: np.ndarray) -> LabelMapping:
-    """Minimum-total-cost perfect assignment of a cost matrix.
-
-    Rectangular inputs are padded square with a large sentinel cost; pairs
-    involving padded rows or columns are dropped from the mapping.
-    """
-    cost = np.asarray(cost, dtype=float)
-    if cost.ndim != 2:
-        raise ValueError("cost must be a matrix")
-    if not np.all(np.isfinite(cost)):
-        raise ValueError("cost entries must be finite")
-    rows, cols = cost.shape
-    size = max(rows, cols)
-    if rows != cols:
-        sentinel = float(np.abs(cost).max() + 1.0) if cost.size else 1.0
-        padded = np.full((size, size), sentinel)
-        padded[:rows, :cols] = cost
-    else:
-        padded = cost
-    r_ind, c_ind = linear_sum_assignment(padded)
-    mapping = {}
-    total = 0.0
-    for a, b in zip(r_ind, c_ind):
-        if a < rows and b < cols:
-            mapping[int(a)] = int(b)
-            total += cost[a, b]
-    return LabelMapping(mapping, max(int(round(-total)), 0), total)
-
-
 def accuracy(pred: ClusterAssignment, truth: ClusterAssignment) -> float:
-    """Fraction of samples agreeing under the best cluster-to-class mapping."""
+    """Fraction of samples agreeing under the best cluster-to-class mapping.
+
+    The mapping is a maximum-weight matching on the contingency counts;
+    with pred.k != truth.k the surplus clusters or classes stay unmatched.
+    """
     table = contingency(pred, truth)
-    size = max(pred.k, truth.k)
-    counts = np.zeros((size, size), dtype=int)
-    counts[: pred.k, : truth.k] = table.counts
-    matched = hungarian(-counts.astype(float)).matched
-    return matched / table.n
+    rows, cols = linear_sum_assignment(table.counts, maximize=True)
+    return int(table.counts[rows, cols].sum()) / table.n
 
 
 def nmi(pred: ClusterAssignment, truth: ClusterAssignment) -> float:

@@ -60,10 +60,9 @@ class SparseSelfRepConfig:
 
 @dataclass(frozen=True)
 class SparseCode:
-    """A solved l1 coding problem: coefficients, their support, solver stats."""
+    """A solved l1 coding problem: coefficients and solver stats."""
 
     coefficients: np.ndarray
-    support: np.ndarray
     report: SolverReport
 
 
@@ -127,15 +126,15 @@ def kkt_violation(correlations: np.ndarray, c: np.ndarray, tau: float) -> float:
 
 
 def solve_lasso(
-    dictionary, y, cfg: SparseSelfRepConfig | None = None,
+    prep: LassoDictionary, y, cfg: SparseSelfRepConfig | None = None,
     exclude: int | None = None,
 ) -> SparseCode:
     """Minimize (1/2)||y - D c||_2^2 + cfg.lam ||c||_1 by accelerated proximal descent.
 
     Parameters
     ----------
-    dictionary : LassoDictionary, DataMatrix or (m, p) ndarray; anything but
-        a LassoDictionary is prepared with ``lasso_dictionary`` on each call
+    prep : the dictionary D with its Gram matrix and step bound, from
+        ``lasso_dictionary``
     y : (m,) target vector
     cfg : the l1 weight and the stopping parameters (defaults when None)
     exclude : column index whose coefficient is held at exactly zero; the
@@ -147,7 +146,6 @@ def solve_lasso(
     report whose ``converged`` flag means the stationarity conditions hold
     at cfg.kkt_tol (or the data residual fell below cfg.delta).
     """
-    prep = dictionary if isinstance(dictionary, LassoDictionary) else lasso_dictionary(dictionary)
     D = prep.D
     y = np.asarray(y, dtype=float).ravel()
     m, p = D.shape
@@ -168,12 +166,9 @@ def solve_lasso(
         obj = 0.5 * res * res + tau * float(np.abs(c).sum())
         return SparseCode(
             coefficients=c,
-            support=np.flatnonzero(c),
             report=SolverReport(iterations, obj, res, converged),
         )
 
-    if not np.any(y):
-        return finish(np.zeros(p), 0, True)  # exact minimizer
     if cfg.delta > 0 and float(np.linalg.norm(y)) <= cfg.delta:
         return finish(np.zeros(p), 0, True)  # zero already meets the tolerance
     b = D.T @ y
@@ -181,7 +176,8 @@ def solve_lasso(
         b[exclude] = 0.0
     scale = float(np.max(np.abs(b)))
     if scale <= tau:
-        return finish(np.zeros(p), 0, True)  # below the null-code threshold
+        # below the null-code threshold; this also covers y = 0 and D = 0
+        return finish(np.zeros(p), 0, True)
 
     # stationarity violations are measured against the larger of tau and the
     # initial correlation scale, so tiny tau does not demand absurd precision
@@ -192,8 +188,6 @@ def solve_lasso(
     if use_gram:
         yty = float(y @ y)
 
-    if prep.lipschitz <= 0.0:
-        return finish(np.zeros(p), 0, True)
     step = 1.0 / prep.lipschitz
     thr = step * tau
 
@@ -232,7 +226,7 @@ def solve_lasso(
     return finish(x, it, converged)
 
 
-def sparse_self_representation(Y, cfg: SparseSelfRepConfig | None = None, return_reports: bool = False):
+def sparse_self_representation(Y, cfg: SparseSelfRepConfig | None = None):
     """Code every column of Y over the others; the diagonal is exactly zero.
 
     Column i is the solution of the l1 problem with dictionary Y_i, which is
@@ -244,8 +238,8 @@ def sparse_self_representation(Y, cfg: SparseSelfRepConfig | None = None, return
     The per-column problems are independent and write disjoint columns, so
     they could run in any order (or concurrently) with identical output.
 
-    Returns the (n, n) coefficient matrix; with ``return_reports=True`` also
-    a list of per-column SolverReports.
+    Returns the (n, n) coefficient matrix and the list of per-column
+    SolverReports.
     """
     Y = Y if isinstance(Y, DataMatrix) else DataMatrix(np.asarray(Y, dtype=float))
     if Y.n < 2:
@@ -264,6 +258,4 @@ def sparse_self_representation(Y, cfg: SparseSelfRepConfig | None = None, return
             raise ValueError(f"column {i}: {exc}") from exc
         C[:, i] = code.coefficients
         reports.append(code.report)
-    if return_reports:
-        return C, reports
-    return C
+    return C, reports

@@ -1,8 +1,9 @@
 """Spectral clustering over a coefficient matrix.
 
 Pipeline: affinity A = |C| + |C|^T, normalized Laplacian
-L = I - D^{-1/2} A D^{-1/2}, the k eigenvectors with smallest eigenvalues,
-k-means on the (optionally row-normalized) embedding rows.
+L = I - D^{-1/2} A D^{-1/2}, the k eigenvectors with smallest eigenvalues
+(dense up to DENSE_EIG_LIMIT rows, Lanczos above), k-means on the
+(optionally row-normalized) embedding rows.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import numpy as np
 from .errors import DegenerateAffinityError
 from .types import ClusterAssignment
 
-# above this size the eigensolver switches to a Lanczos iteration by default
+# above this size the eigensolver switches to a Lanczos iteration
 DENSE_EIG_LIMIT = 4000
 
 
@@ -87,11 +88,13 @@ def normalized_laplacian(A: AffinityMatrix) -> np.ndarray:
     return L
 
 
-def smallest_eigenvectors(L: np.ndarray, k: int, method: str = "auto") -> SpectralEmbedding:
+def smallest_eigenvectors(L: np.ndarray, k: int) -> SpectralEmbedding:
     """The k eigenvectors of (L + L^T)/2 with smallest eigenvalues.
 
-    ``method`` is "dense", "lanczos" or "auto" (dense up to 4000 rows).
-    The Lanczos path uses a fixed start vector, so results are deterministic.
+    The size picks the eigensolver: a dense ``eigh`` up to DENSE_EIG_LIMIT
+    rows (or when k >= n - 1, which Lanczos cannot serve), a Lanczos
+    iteration above it. The Lanczos path uses a fixed start vector, so
+    results are deterministic.
     """
     L = np.asarray(L, dtype=float)
     n = L.shape[0]
@@ -101,14 +104,9 @@ def smallest_eigenvectors(L: np.ndarray, k: int, method: str = "auto") -> Spectr
         raise ValueError("L must be symmetric within 1e-8")
     if not 1 <= k <= n:
         raise ValueError(f"k must satisfy 1 <= k <= n, got k={k}, n={n}")
-    if method not in ("auto", "dense", "lanczos"):
-        raise ValueError(f"unknown eigensolver method {method!r}")
 
     sym = 0.5 * (L + L.T)
-    use_dense = method == "dense" or (method == "auto" and n <= DENSE_EIG_LIMIT)
-    if not use_dense and k >= n - 1:
-        use_dense = True  # Lanczos needs k < n - 1
-    if use_dense:
+    if n <= DENSE_EIG_LIMIT or k >= n - 1:
         eigenvalues, vectors = np.linalg.eigh(sym)
         return SpectralEmbedding(vectors[:, :k], eigenvalues[:k])
 
@@ -202,7 +200,6 @@ def spectral_cluster(
     restarts: int = 20,
     seed: int = 0,
     row_normalize: bool = True,
-    eig_method: str = "auto",
 ) -> ClusterAssignment:
     """Affinity -> Laplacian -> bottom-k eigenvectors -> k-means.
 
@@ -216,7 +213,7 @@ def spectral_cluster(
             "coefficient matrix is all zeros; no similarity graph to cluster"
         )
     L = normalized_laplacian(A)
-    embedding = smallest_eigenvectors(L, k, method=eig_method)
+    embedding = smallest_eigenvectors(L, k)
     V = embedding.V
     if row_normalize:
         norms = np.linalg.norm(V, axis=1, keepdims=True)

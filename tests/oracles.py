@@ -19,7 +19,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
 from subclust.errors import UnassignableSampleError
-from subclust.lowrank import LrrConfig, LrrSolution, _error_prox, _error_value, svt
+from subclust.lowrank import LrrConfig, _error_prox, _error_value, svt
 from subclust.types import SolverReport
 
 
@@ -119,6 +119,18 @@ def prox_l2_scalar_oracle(m, tau, grid=2000, refinements=6):
     return alpha * (np.asarray(m) / norm_m)
 
 
+@dataclass(frozen=True)
+class FullSpaceLrrSolution:
+    """C, E and solver stats of the p x p iteration; with track_objective,
+    the augmented Lagrangian before and after each iteration's primal
+    updates (multipliers held fixed)."""
+
+    C: np.ndarray
+    E: np.ndarray
+    report: SolverReport
+    objective_trace: list | None
+
+
 def lrr_full_space_oracle(V, cfg=None, track_objective=False):
     """Inexact ALM for min ||C||_* + lam*||E||_err s.t. V = VC + E with
     p x p iterates: a full p x p SVD and a p x p SPD solve per iteration."""
@@ -190,7 +202,7 @@ def lrr_full_space_oracle(V, cfg=None, track_objective=False):
     objective = nuc_J + cfg.lam * err_E
     residual = max(float(np.linalg.norm(R1)), float(np.linalg.norm(R2))) / y_scale
     report = SolverReport(it, objective, residual, converged)
-    return LrrSolution(C=C, E=E, report=report, objective_trace=trace)
+    return FullSpaceLrrSolution(C=C, E=E, report=report, objective_trace=trace)
 
 
 @dataclass(frozen=True)

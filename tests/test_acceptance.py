@@ -21,7 +21,12 @@ from oracles import (
 from subclust import dataio, metrics
 from subclust.cli import main
 from subclust.lowrank import LrrConfig, l21_shrink, outlier_columns, solve_lrr, svt
-from subclust.sparse_coding import SparseSelfRepConfig, solve_lasso, sparse_self_representation
+from subclust.sparse_coding import (
+    SparseSelfRepConfig,
+    lasso_dictionary,
+    solve_lasso,
+    sparse_self_representation,
+)
 from subclust.types import ClusterAssignment
 
 
@@ -129,7 +134,7 @@ def test_criterion_3_affinity_block_structure():
         inter = labels[:, None] != labels[None, :]
 
         cfg = SparseSelfRepConfig(lam=1e-5, delta=0.0, kkt_tol=1e-6)
-        C_sparse = sparse_self_representation(dataset.data, cfg)
+        C_sparse, _ = sparse_self_representation(dataset.data, cfg)
         A = np.abs(C_sparse) + np.abs(C_sparse).T
         assert A.sum() > 0
         assert A[inter].sum() / A.sum() <= 1e-3
@@ -178,7 +183,7 @@ def test_criterion_5_solver_oracles():
             cfg = SparseSelfRepConfig(
                 lam=taus[i], delta=0.0, kkt_tol=1e-8, max_iterations=100_000
             )
-            code = solve_lasso(Ds[i], ys[i], cfg)
+            code = solve_lasso(lasso_dictionary(Ds[i]), ys[i], cfg)
             solver_objs[i] = lasso_objective(Ds[i], ys[i], lams[i], code.coefficients)
         oracle_objs = subgradient_lasso_batch(Ds, ys, lams, iterations=1_000_000)
         assert np.all(solver_objs <= oracle_objs + 1e-6)
@@ -210,13 +215,19 @@ def test_criterion_5_solver_oracles():
 
 def test_criterion_6_metric_oracles():
     with criterion(6, "metrics match brute force and hand computations"):
+        # accuracy is the best matching of the contingency counts over n,
+        # which the oracle finds by enumeration on the zero-padded square table
         rng = np.random.default_rng(60)
         for _ in range(100):
-            size = rng.integers(2, 8)
-            cost = rng.standard_normal((size, size))
-            assert abs(
-                metrics.hungarian(cost).total_cost - brute_force_assignment_cost(cost)
-            ) <= 1e-9
+            n = int(rng.integers(1, 40))
+            k_pred, k_truth = (int(k) for k in rng.integers(1, 8, size=2))
+            pred = ClusterAssignment(rng.integers(0, k_pred, n), k_pred)
+            truth = ClusterAssignment(rng.integers(0, k_truth, n), k_truth)
+            counts = metrics.contingency(pred, truth).counts
+            padded = np.zeros((max(k_pred, k_truth),) * 2)
+            padded[:k_pred, :k_truth] = counts
+            matched = -brute_force_assignment_cost(-padded)
+            assert metrics.accuracy(pred, truth) == matched / n
 
         pred = ClusterAssignment([0, 0, 1, 1], 2)
         truth = ClusterAssignment([0, 1, 0, 1], 2)

@@ -243,6 +243,31 @@ def test_cluster_non_finite_csv_is_data_error(tmp_path, capsys, cell):
     assert "row 3, column 2" in err
 
 
+@pytest.mark.parametrize("algorithm", ["sssc", "slrr"])
+@pytest.mark.parametrize(
+    "scale, message",
+    [(1e5, "--gamma"), (1e160, "sum of squares")],
+    ids=["ridge-not-positive-definite", "sum-of-squares-overflow"],
+)
+def test_cluster_badly_scaled_data_is_data_error(tmp_path, capsys, scale, message, algorithm):
+    # at 1e5, gamma = 1e-6 is below the rounding of X^T X; at 1e160 the
+    # squares overflow
+    data = tmp_path / "scaled.csv"
+    X = np.random.default_rng(0).standard_normal((40, 6)) * scale
+    np.savetxt(data, X, fmt="%.17g", delimiter=",")
+    out = tmp_path / "x.json"
+    rc = run_cli(
+        "cluster", "--algorithm", algorithm, "--input", str(data),
+        "--k", "2", "--p", "20", "--seed", "0", "--output", str(out),
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("subclust: data error:")
+    assert message in err
+    assert not out.exists()
+
+
 def test_cluster_k_above_p_is_usage_error(tmp_path, synth_files, capsys):
     data, _ = synth_files
     out = tmp_path / "x.json"
@@ -275,11 +300,12 @@ def test_cluster_k_above_p_is_usage_error(tmp_path, synth_files, capsys):
         ("sssc", ["--kkt-tol", "0"]),
         ("slrr", ["--p", "1", "--k", "1"]),
         ("sssc", ["--p", "1", "--k", "1"]),
+        ("sssc", ["--seed", "-1"]),
     ],
     ids=[
         "rho", "lambda-negative", "lambda-zero", "lambda-inf-sssc",
         "lambda-inf-slrr", "lambda-nan", "gamma", "gamma-inf", "rho-nan", "pca-energy",
-        "restarts", "delta", "kkt-tol", "slrr-p-1", "sssc-p-1",
+        "restarts", "delta", "kkt-tol", "slrr-p-1", "sssc-p-1", "seed-negative",
     ],
 )
 def test_cluster_bad_solver_knob_is_usage_error(tmp_path, synth_files, capsys, algorithm, flags):
@@ -311,6 +337,7 @@ CLUSTER_FLAGS = {"algorithm": "sssc", "k": "2", "p": "40", "seed": "0"}
         {"seed": 1.5},
         {"pca_energy": "x"},
         {"gamma": 10**400},
+        pytest.param({"seed": -1}, id="seed-negative"),
     ],
     ids=lambda bad: next(iter(bad)),
 )

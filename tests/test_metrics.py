@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_force_assignment_cost
-from subclust.metrics import accuracy, contingency, hungarian, nmi
+from subclust.metrics import accuracy, contingency, nmi
 from subclust.types import ClusterAssignment
 
 
@@ -40,44 +40,6 @@ def test_contingency_sums_to_n(n, seed):
     assert contingency(pred, truth).counts.sum() == n
 
 
-# --- hungarian -------------------------------------------------------------------
-
-
-def test_hungarian_identity_cost():
-    cost = np.ones((3, 3)) - np.eye(3)
-    mapping = hungarian(cost)
-    assert mapping.mapping == {0: 0, 1: 1, 2: 2}
-    assert mapping.total_cost == 0.0
-
-
-def test_hungarian_hand_matrix_matches_enumeration():
-    cost = np.array([[4.0, 1.0, 3.0], [2.0, 0.0, 5.0], [3.0, 2.0, 2.0]])
-    mapping = hungarian(cost)
-    assert mapping.total_cost == 5.0  # enumerated by hand: rows -> (1, 0, 2)
-    assert mapping.total_cost == brute_force_assignment_cost(cost)
-
-
-def test_hungarian_random_matrices_match_brute_force():
-    rng = np.random.default_rng(0)
-    for _ in range(100):
-        size = rng.integers(2, 8)
-        cost = rng.standard_normal((size, size))
-        assert hungarian(cost).total_cost == pytest.approx(
-            brute_force_assignment_cost(cost), abs=1e-9
-        )
-
-
-def test_hungarian_rectangular_padding():
-    cost = np.array([[0.0, 5.0, 5.0], [5.0, 0.0, 5.0]])
-    mapping = hungarian(cost)
-    assert mapping.mapping == {0: 0, 1: 1}
-
-
-def test_hungarian_rejects_non_finite():
-    with pytest.raises(ValueError):
-        hungarian(np.array([[np.inf, 1.0], [1.0, 0.0]]))
-
-
 # --- accuracy ---------------------------------------------------------------------
 
 
@@ -96,6 +58,45 @@ def test_accuracy_single_cluster_prediction():
     pred = assignment(np.zeros(100, dtype=int), k=1)
     truth = assignment(np.r_[np.zeros(50, int), np.ones(50, int)])
     assert accuracy(pred, truth) == 0.5
+
+
+def matched_by_brute_force(pred, truth):
+    """Most agreeing samples over every cluster-to-class matching: the
+    contingency counts, padded square with zeros, go to the enumeration."""
+    counts = contingency(pred, truth).counts
+    size = max(counts.shape)
+    padded = np.zeros((size, size))
+    padded[: counts.shape[0], : counts.shape[1]] = counts
+    return -brute_force_assignment_cost(-padded)
+
+
+def test_accuracy_hand_table_matches_enumeration():
+    # contingency counts [[4, 1, 3], [2, 0, 5], [3, 2, 2]]: by hand the best
+    # matching is clusters -> classes (0, 2, 1), 4 + 5 + 2 = 11 of 22 samples
+    counts = np.array([[4, 1, 3], [2, 0, 5], [3, 2, 2]])
+    pred = assignment(np.repeat([0, 0, 0, 1, 1, 1, 2, 2, 2], counts.ravel()), 3)
+    truth = assignment(np.repeat([0, 1, 2] * 3, counts.ravel()), 3)
+    np.testing.assert_array_equal(contingency(pred, truth).counts, counts)
+    assert accuracy(pred, truth) == 11 / 22
+    assert matched_by_brute_force(pred, truth) == 11
+
+
+def test_accuracy_random_labels_match_brute_force():
+    rng = np.random.default_rng(0)
+    for _ in range(100):
+        n = int(rng.integers(1, 40))
+        k_pred, k_truth = rng.integers(1, 7, size=2)
+        pred = assignment(rng.integers(0, k_pred, n), int(k_pred))
+        truth = assignment(rng.integers(0, k_truth, n), int(k_truth))
+        assert accuracy(pred, truth) == matched_by_brute_force(pred, truth) / n
+
+
+def test_accuracy_rectangular_table():
+    # two clusters against three classes: the third class stays unmatched
+    pred = assignment([0, 0, 1, 1, 1], 2)
+    truth = assignment([0, 0, 1, 1, 2], 3)
+    assert accuracy(pred, truth) == 4 / 5
+    assert accuracy(truth, pred) == 4 / 5
 
 
 def test_accuracy_dominates_any_fixed_mapping():

@@ -67,12 +67,12 @@ def test_null_code_threshold_is_exact():
     D = rng.standard_normal((6, 9))
     y = rng.standard_normal(6)
     tau = np.max(np.abs(D.T @ y))  # at the threshold: zero is optimal
-    code = solve_lasso(D, y, strict_cfg(tau))
+    code = solve_lasso(lasso_dictionary(D), y, strict_cfg(tau))
     assert not code.coefficients.any()
     assert code.report.converged
     # just below the threshold the code must be nonzero
     tau_small = 0.99 * tau
-    code = solve_lasso(D, y, strict_cfg(tau_small))
+    code = solve_lasso(lasso_dictionary(D), y, strict_cfg(tau_small))
     assert code.coefficients.any()
 
 
@@ -81,7 +81,7 @@ def test_single_column_least_squares():
     d /= np.linalg.norm(d)
     y = 2.0 * d
     tau = 1e-6
-    code = solve_lasso(d[:, None], y, strict_cfg(tau))
+    code = solve_lasso(lasso_dictionary(d[:, None]), y, strict_cfg(tau))
     assert code.coefficients[0] == pytest.approx(2.0, abs=1e-4)
 
 
@@ -91,7 +91,7 @@ def test_objective_matches_subgradient_oracle():
     y = rng.standard_normal(5)
     tau = 0.2 * np.max(np.abs(D.T @ y))
     lam = 1.0 / (2.0 * tau)
-    code = solve_lasso(D, y, strict_cfg(tau))
+    code = solve_lasso(lasso_dictionary(D), y, strict_cfg(tau))
     f_solver = lasso_objective(D, y, lam, code.coefficients)
     f_oracle = subgradient_lasso(D, y, lam, iterations=1_000_000)
     # the solver may only be better; the oracle itself carries O(1/sqrt(T)) slack
@@ -105,7 +105,7 @@ def test_kkt_conditions_hold_on_random_problems():
         D = rng.standard_normal((6, 10))
         y = rng.standard_normal(6)
         tau = 0.3 * np.max(np.abs(D.T @ y))
-        code = solve_lasso(D, y, strict_cfg(tau))
+        code = solve_lasso(lasso_dictionary(D), y, strict_cfg(tau))
         assert code.report.converged
         c = code.coefficients
         corr = D.T @ (y - D @ c)
@@ -125,7 +125,7 @@ def test_support_monotone_in_weight():
         top = np.max(np.abs(D.T @ y))
         prev = np.inf
         for tau in np.geomspace(1e-4 * top, 2.0 * top, 10):
-            code = solve_lasso(D, y, strict_cfg(tau, kkt_tol=1e-7))
+            code = solve_lasso(lasso_dictionary(D), y, strict_cfg(tau, kkt_tol=1e-7))
             l1 = np.abs(code.coefficients).sum()
             assert l1 <= prev + 1e-9
             prev = l1
@@ -133,15 +133,22 @@ def test_support_monotone_in_weight():
 
 def test_zero_target_returns_zero_code():
     D = np.random.default_rng(0).standard_normal((4, 6))
-    code = solve_lasso(D, np.zeros(4))
-    assert not code.coefficients.any()
-    assert code.report.converged
-    assert code.report.iterations == 0
+    # with delta = 0 only the null-code threshold sees y = 0 or D = 0
+    cases = [
+        (D, np.zeros(4), None),
+        (D, np.zeros(4), strict_cfg(0.1)),
+        (np.zeros((4, 6)), np.ones(4), strict_cfg(0.1)),
+    ]
+    for dictionary, y, cfg in cases:
+        code = solve_lasso(lasso_dictionary(dictionary), y, cfg)
+        assert not code.coefficients.any()
+        assert code.report.converged
+        assert code.report.iterations == 0
 
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        solve_lasso(np.ones((3, 2)), np.ones(4))
+        solve_lasso(lasso_dictionary(np.ones((3, 2))), np.ones(4))
 
 
 def test_non_convergence_returns_best_iterate():
@@ -151,7 +158,7 @@ def test_non_convergence_returns_best_iterate():
     tau = 0.1 * np.max(np.abs(D.T @ y))
     cfg = SparseSelfRepConfig(lam=tau, delta=0.0, kkt_tol=1e-14,
                               max_iterations=3)
-    code = solve_lasso(D, y, cfg)
+    code = solve_lasso(lasso_dictionary(D), y, cfg)
     assert not code.report.converged
     assert code.report.iterations == 3
     assert np.all(np.isfinite(code.coefficients))
@@ -164,7 +171,7 @@ def test_delta_stops_early():
     tau = 1e-4 * np.max(np.abs(D.T @ y))
     cfg = SparseSelfRepConfig(lam=tau, delta=0.5 * np.linalg.norm(y),
                               kkt_tol=1e-12, max_iterations=10_000)
-    code = solve_lasso(D, y, cfg)
+    code = solve_lasso(lasso_dictionary(D), y, cfg)
     assert code.report.converged
     assert code.report.residual_norm < 0.5 * np.linalg.norm(y)
 
@@ -184,14 +191,14 @@ def test_config_validation():
 def test_duplicate_columns_code_each_other():
     v = np.array([0.6, -0.8, 0.0])
     Y = np.column_stack([v, v])
-    C = sparse_self_representation(Y, strict_cfg(1e-6))
+    C, _ = sparse_self_representation(Y, strict_cfg(1e-6))
     np.testing.assert_allclose(C, [[0.0, 1.0], [1.0, 0.0]], atol=1e-4)
 
 
 def test_two_subspace_representation_is_block_diagonal():
     ds = synth_subspaces(k=2, ambient=30, dim_per=[3, 3],
                          points_per=[20, 20], seed=4)
-    C = sparse_self_representation(ds.data, strict_cfg(1e-4, kkt_tol=1e-6))
+    C, _ = sparse_self_representation(ds.data, strict_cfg(1e-4, kkt_tol=1e-6))
     labels = ds.truth.labels
     inter = np.abs(C)[labels[:, None] != labels[None, :]]
     assert inter.max() <= 1e-6
@@ -201,7 +208,7 @@ def test_columns_match_direct_solver_calls():
     rng = np.random.default_rng(8)
     Y = rng.standard_normal((6, 10))
     cfg = strict_cfg(0.05)
-    C = sparse_self_representation(Y, cfg)
+    C, _ = sparse_self_representation(Y, cfg)
     # every column steps by Y's bound, so the direct call is handed that bound
     lipschitz = lasso_dictionary(Y).lipschitz
     for i in range(10):
@@ -219,7 +226,7 @@ def test_shared_bound_columns_match_copied_dictionary_path(shape):
     rng = np.random.default_rng(12)
     Y = rng.standard_normal(shape)
     tau = 0.05
-    C = sparse_self_representation(Y, strict_cfg(tau))
+    C, _ = sparse_self_representation(Y, strict_cfg(tau))
     for i in range(shape[1]):
         Di = Y.copy()
         Di[:, i] = 0.0
@@ -229,21 +236,21 @@ def test_shared_bound_columns_match_copied_dictionary_path(shape):
         on = c != 0
         assert np.all(np.abs(corr) <= tau * (1.0 + slack))
         assert np.all(np.abs(corr[on] - tau * np.sign(c[on])) <= tau * slack)
-        old = solve_lasso(Di, Y[:, i], strict_cfg(tau))
+        old = solve_lasso(lasso_dictionary(Di), Y[:, i], strict_cfg(tau))
         np.testing.assert_allclose(c, old.coefficients, rtol=0, atol=1e-6)
 
 
 def test_diagonal_is_exactly_zero():
     rng = np.random.default_rng(9)
     Y = rng.standard_normal((5, 8))
-    C = sparse_self_representation(Y, strict_cfg(0.1))
+    C, _ = sparse_self_representation(Y, strict_cfg(0.1))
     assert np.all(np.diag(C) == 0.0)
 
 
 def test_reports_returned_per_column():
     rng = np.random.default_rng(10)
     Y = rng.standard_normal((4, 6))
-    C, reports = sparse_self_representation(Y, strict_cfg(0.1), return_reports=True)
+    C, reports = sparse_self_representation(Y, strict_cfg(0.1))
     assert len(reports) == 6
     assert C.shape == (6, 6)
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_partitions, wcss
+from subclust import spectral
 from subclust.dataio import synth_subspaces
 from subclust.errors import DegenerateAffinityError
 from subclust.metrics import accuracy
@@ -139,12 +140,13 @@ def test_eigvecs_span_component_indicators():
     assert np.linalg.norm(proj - emb.V) <= 1e-6
 
 
-def test_eigvecs_lanczos_agrees_with_dense():
+def test_eigvecs_lanczos_agrees_with_dense(monkeypatch):
     rng = np.random.default_rng(1)
     C = rng.standard_normal((40, 40))
     L = normalized_laplacian(build_affinity(C))
-    dense = smallest_eigenvectors(L, 3, method="dense")
-    lanczos = smallest_eigenvectors(L, 3, method="lanczos")
+    dense = smallest_eigenvectors(L, 3)
+    monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 10)  # 40 rows take Lanczos
+    lanczos = smallest_eigenvectors(L, 3)
     np.testing.assert_allclose(lanczos.eigenvalues, dense.eigenvalues, atol=1e-8)
     # compare spans, not signs
     proj = dense.V @ (dense.V.T @ lanczos.V)
@@ -229,7 +231,7 @@ def test_spectral_cluster_on_sparse_representation():
     ds = synth_subspaces(k=2, ambient=30, dim_per=[3, 3],
                          points_per=[20, 20], seed=6)
     cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0, kkt_tol=1e-6)
-    C = sparse_self_representation(ds.data, cfg)
+    C, _ = sparse_self_representation(ds.data, cfg)
     out = spectral_cluster(C, 2, seed=0)
     assert accuracy(out, ds.truth) == 1.0
 
@@ -243,7 +245,7 @@ def test_spectral_cluster_permutation_invariance():
     ds = synth_subspaces(k=2, ambient=20, dim_per=[2, 2],
                          points_per=[15, 15], seed=7)
     cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0, kkt_tol=1e-6)
-    C = sparse_self_representation(ds.data, cfg)
+    C, _ = sparse_self_representation(ds.data, cfg)
     out = spectral_cluster(C, 2, seed=0)
     base = accuracy(out, ds.truth)
 
