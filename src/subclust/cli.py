@@ -275,17 +275,11 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
 
     dictionary = None
     if split.out_of_sample.size:
-        try:
-            dictionary = oos.build_dictionary(
-                DataMatrix(X.values[:, keep]),
-                ClusterAssignment(labels[keep], cfg.k),
-                gamma=cfg.gamma,
-            )
-        except np.linalg.LinAlgError:  # gamma is lost in the rounding of X^T X
-            raise DataFormatError(
-                f"the ridge system X^T X + gamma I is not positive definite at "
-                f"--gamma {cfg.gamma}; raise --gamma or rescale the data"
-            ) from None
+        dictionary = oos.build_dictionary(
+            DataMatrix(X.values[:, keep]),
+            ClusterAssignment(labels[keep], cfg.k),
+            gamma=cfg.gamma,
+        )
     stage_seconds = {
         "sampling": t_sampling - t0,
         "insample_clustering": t_insample - t_sampling,
@@ -382,8 +376,7 @@ def _merge_config(args) -> RunConfig:
     values = {}
     if args.config:
         try:
-            with open(args.config) as fh:
-                file_cfg = json.load(fh)
+            file_cfg = json.loads(dataio.read_text(args.config))
         except OSError as exc:
             raise DataFormatError(f"cannot read config file: {exc}") from exc
         except json.JSONDecodeError as exc:

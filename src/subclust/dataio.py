@@ -7,6 +7,7 @@ All stochastic operations take one explicit integer seed.
 from __future__ import annotations
 
 import csv
+import io
 import warnings
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -72,9 +73,9 @@ def load_csv(path, has_header: bool = False) -> DataMatrix:
     Returns a DataMatrix whose columns are the file's rows, so the result
     has shape (file column count, file row count).
 
-    Raises DataFormatError on ragged rows, non-numeric cells and non-finite
-    values (nan, inf); the message names the offending data row (1-based,
-    header excluded) and column.
+    Raises DataFormatError on text that is not UTF-8, ragged rows,
+    non-numeric cells and non-finite values (nan, inf); the message names
+    the offending byte, or data row (1-based, header excluded) and column.
 
     Well-formed files are read by ``numpy.loadtxt``. Anything it rejects,
     and any non-finite value, is re-read by the cell-by-cell parser, the
@@ -96,36 +97,46 @@ def load_csv(path, has_header: bool = False) -> DataMatrix:
     return DataMatrix(values.T)
 
 
+def read_text(path) -> str:
+    """The whole of a UTF-8 text file; DataFormatError, naming the file and
+    the first bad byte, when it is not UTF-8."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise DataFormatError(
+            f"{path}: byte {exc.start} is not UTF-8 text ({exc.reason})"
+        ) from None
+
+
 def _parse_csv(path: Path, has_header: bool) -> np.ndarray:
     """Cell-by-cell CSV parse; raises DataFormatError naming row and column."""
     rows = []
     row_numbers = []
     expected = None
-    with open(path, newline="") as fh:
-        reader = csv.reader(fh)
-        if has_header:
-            next(reader, None)
-        for i, row in enumerate(reader, start=1):
-            if not row or all(cell.strip() == "" for cell in row):
-                continue
-            if expected is None:
-                expected = len(row)
-            elif len(row) != expected:
-                raise DataFormatError(
-                    f"{path}: row {i} has {len(row)} fields, expected {expected}"
-                )
-            try:
-                rows.append([float(cell) for cell in row])
-                row_numbers.append(i)
-            except ValueError:
-                for j, cell in enumerate(row, start=1):
-                    try:
-                        float(cell)
-                    except ValueError:
-                        raise DataFormatError(
-                            f"{path}: row {i}, column {j}: "
-                            f"could not parse {cell.strip()!r} as a number"
-                        ) from None
+    reader = csv.reader(io.StringIO(read_text(path)))
+    if has_header:
+        next(reader, None)
+    for i, row in enumerate(reader, start=1):
+        if not row or all(cell.strip() == "" for cell in row):
+            continue
+        if expected is None:
+            expected = len(row)
+        elif len(row) != expected:
+            raise DataFormatError(
+                f"{path}: row {i} has {len(row)} fields, expected {expected}"
+            )
+        try:
+            rows.append([float(cell) for cell in row])
+            row_numbers.append(i)
+        except ValueError:
+            for j, cell in enumerate(row, start=1):
+                try:
+                    float(cell)
+                except ValueError:
+                    raise DataFormatError(
+                        f"{path}: row {i}, column {j}: "
+                        f"could not parse {cell.strip()!r} as a number"
+                    ) from None
     if not rows:
         raise DataFormatError(f"{path}: no data rows")
     values = np.asarray(rows, dtype=float)
@@ -140,19 +151,17 @@ def _parse_csv(path: Path, has_header: bool) -> np.ndarray:
 
 def load_labels(path) -> np.ndarray:
     """Read a label sidecar: one integer per line. Returns the raw integers."""
-    path = Path(path)
     labels = []
-    with open(path) as fh:
-        for i, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                labels.append(int(line))
-            except ValueError:
-                raise DataFormatError(
-                    f"{path}: line {i}: could not parse {line!r} as an integer"
-                ) from None
+    for i, line in enumerate(read_text(path).split("\n"), start=1):
+        line = line.strip()
+        if not line:
+            continue
+        try:
+            labels.append(int(line))
+        except ValueError:
+            raise DataFormatError(
+                f"{path}: line {i}: could not parse {line!r} as an integer"
+            ) from None
     if not labels:
         raise DataFormatError(f"{path}: no labels")
     return np.asarray(labels, dtype=int)
@@ -231,8 +240,8 @@ def synth_subspaces(
             raise ValueError(
                 f"subspace {i}: points_per={c} is below its dimension {d}"
             )
-    if noise_sigma < 0:
-        raise ValueError("noise_sigma must be nonnegative")
+    if not 0 <= noise_sigma < np.inf:
+        raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
     if not (0.0 <= corrupt_frac <= 1.0):
         raise ValueError("corrupt_frac must lie in [0, 1]")
 

@@ -4,12 +4,14 @@ Solves  min ||C||_* + lam * ||E||_err  s.t.  Y = Y C + E  with the error
 norm chosen among column-wise l2 (``l21``), entrywise l1 (``l1``) and
 squared Frobenius (``fro``). A splitting variable J with C = J keeps every
 subproblem in closed form: J is updated by singular value thresholding,
-C by one SPD solve, E by the prox of the chosen norm.
+C by a diagonal solve, E by the prox of the chosen norm.
 
 The minimizer lies in the row space of Y (Liu et al., "Robust Recovery of
 Subspace Structures by Low-Rank Representation", TPAMI 2013), so the ALM
-runs there: r x p iterates with r = rank(Y) <= min(m, p), an r x p SVD and
-an r x r system per iteration instead of p x p ones.
+runs there: r x p iterates with r = rank(Y) <= min(m, p) and an r x p SVD
+per iteration instead of p x p ones. In the basis of Y's leading right
+singular vectors, the C-update's system I + A^T A is diagonal, so solving
+it is a row scaling.
 """
 
 from __future__ import annotations
@@ -17,7 +19,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .sparse_coding import soft_threshold
 from .types import DataMatrix, SolverReport
@@ -111,9 +112,10 @@ def _error_value(E: np.ndarray, norm: str) -> float:
 def solve_lrr(Y, cfg: LrrConfig | None = None) -> LrrSolution:
     """Inexact-ALM solve of min ||C||_* + lam*||E||_err s.t. Y = YC + E.
 
-    The iteration runs over A = YQ, Q the row-space basis of Y: C~, J~
-    and the multiplier of C~ = J~ are r x p, the C-update solves the r x r
-    system I + A^T A, and C = Q C~ is returned. All iterates start at zero
+    The iteration runs over A = YQ, Q the leading r right singular vectors
+    of Y = U diag(s) W^T, so A = U_r diag(s_r) and A^T A = diag(s_r^2):
+    C~, J~ and the multiplier of C~ = J~ are r x p, the C-update divides
+    row i by 1 + s_i^2, and C = Q C~ is returned. All iterates start at zero
     and every update stays in range(Q), so iterates, iteration count, E and
     objective are those of the p x p iteration up to rounding.
 
@@ -135,11 +137,11 @@ def solve_lrr(Y, cfg: LrrConfig | None = None) -> LrrSolution:
 
     # orthonormal basis of Y's row space; r is the numerical rank under the
     # numpy.linalg.matrix_rank tolerance, at least 1 so a zero Y has a basis
-    _, s, Wt = np.linalg.svd(V, full_matrices=False)
+    U, s, Wt = np.linalg.svd(V, full_matrices=False)
     r = max(int(np.count_nonzero(s > s[0] * max(m, n) * np.finfo(float).eps)), 1)
     Q = Wt[:r].T
-    A = V @ Q
-    system = cho_factor(np.eye(r) + A.T @ A)
+    A = U[:, :r] * s[:r]
+    diagonal = 1.0 + s[:r] * s[:r]
 
     C = np.zeros((r, n))
     J = np.zeros((r, n))
@@ -156,7 +158,7 @@ def solve_lrr(Y, cfg: LrrConfig | None = None) -> LrrSolution:
 
         # C-update: (I + A^T A) C = A^T (Y - E + L1/mu) + J - L2/mu
         rhs = A.T @ (V - E + L1 / mu) + J - L2 / mu
-        C = cho_solve(system, rhs)
+        C = rhs / diagonal[:, None]
 
         # E-update: prox of the error norm at Y - YC + L1/mu
         YC = A @ C

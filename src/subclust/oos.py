@@ -2,7 +2,9 @@
 the class with the smallest (regularized) reconstruction residual.
 
 Ridge coding uses the closed form c = (X^T X + gamma I)^{-1} X^T x, cached
-as a projector built from one SPD factorization. Sparse coding delegates to
+as the projector W diag(s / (s^2 + gamma)) U^T from the thin SVD
+X = U diag(s) W^T. The SVD never forms X^T X, whose rounding would swamp a
+small gamma once X is large. Sparse coding delegates to
 the l1 solver (without any zero-diagonal constraint, since the query point
 is not in the dictionary); a batch prepares the dictionary's Gram matrix and
 step bound once for all its queries.
@@ -13,7 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .errors import UnassignableSampleError
 from .sparse_coding import SparseSelfRepConfig, lasso_dictionary, solve_lasso
@@ -33,7 +34,6 @@ class ClassDictionary:
 
     X: DataMatrix
     labels: ClusterAssignment
-    gamma: float
     projector: np.ndarray  # (p, m), equals (X^T X + gamma I)^{-1} X^T
     class_indices: tuple = field(repr=False, default=())
 
@@ -47,20 +47,19 @@ class ClassDictionary:
 
 
 def build_dictionary(X, labels: ClusterAssignment, gamma: float = 1e-6) -> ClassDictionary:
-    """Factor (X^T X + gamma I) once and cache the ridge projector."""
+    """Cache the ridge projector (X^T X + gamma I)^{-1} X^T, from X's thin SVD."""
     X = X if isinstance(X, DataMatrix) else DataMatrix(np.asarray(X, dtype=float))
     if gamma <= 0:
         raise ValueError(f"gamma must be positive, got {gamma}")
     if labels.n != X.n:
         raise ValueError(f"{labels.n} labels for {X.n} dictionary columns")
-    V = X.values
-    system = cho_factor(V.T @ V + gamma * np.eye(X.n))
-    projector = cho_solve(system, V.T)
+    U, s, Wt = np.linalg.svd(X.values, full_matrices=False)
+    projector = (Wt.T * (s / (s * s + gamma))) @ U.T
     class_indices = tuple(
         np.flatnonzero(labels.labels == j) for j in range(labels.k)
     )
     return ClassDictionary(
-        X=X, labels=labels, gamma=gamma, projector=projector,
+        X=X, labels=labels, projector=projector,
         class_indices=class_indices,
     )
 

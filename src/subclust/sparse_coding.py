@@ -22,7 +22,6 @@ from dataclasses import dataclass
 from math import sqrt
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
 from .types import DataMatrix, SolverReport
 
@@ -99,14 +98,11 @@ def lasso_dictionary(dictionary) -> LassoDictionary:
         raise ValueError("dictionary must be a matrix")
     m, p = D.shape
     gram = D.T @ D if p <= 2 * m and p <= 4096 else None
-    return LassoDictionary(D, gram, spectral_norm_sq(D, gram))
+    return LassoDictionary(D, gram, spectral_norm_sq(D))
 
 
-def spectral_norm_sq(D: np.ndarray, gram: np.ndarray | None = None) -> float:
-    """||D||_2^2, the largest eigenvalue of D^T D (``gram`` when given)."""
-    if gram is not None:
-        p = gram.shape[0]
-        return max(float(eigvalsh(gram, subset_by_index=[p - 1, p - 1])[0]), 0.0)
+def spectral_norm_sq(D: np.ndarray) -> float:
+    """||D||_2^2, the square of D's largest singular value."""
     return float(np.linalg.norm(D, 2)) ** 2
 
 

@@ -2,7 +2,11 @@ import contextlib
 import dataclasses
 import io
 import json
+import os
+import subprocess
+import sys
 import typing
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -64,6 +68,8 @@ BENCH_FLAGS = ["--n", "100", "--p", "20", "--ambient", "30"]
         ("synth", ["--dims", "a,b"]),
         ("synth", ["--ambient", "5", "--dims", "4,4"]),
         ("synth", ["--k", "3", "--dims", "2,2"]),
+        ("synth", ["--noise-sigma", "nan"]),
+        ("synth", ["--noise-sigma", "inf"]),
         ("bench", ["--k", "0"]),
         ("bench", ["--ambient", "8", "--k", "4", "--dim", "3"]),
         ("bench", ["--n", "10", "--p", "4", "--k", "4", "--dim", "5"]),
@@ -71,6 +77,7 @@ BENCH_FLAGS = ["--n", "100", "--p", "20", "--ambient", "30"]
     ],
     ids=[
         "synth-dims-not-integers", "synth-dims-above-ambient", "synth-dims-not-k",
+        "synth-noise-nan", "synth-noise-inf",
         "bench-k-0", "bench-dims-above-ambient", "bench-points-below-dim", "bench-repeats-0",
     ],
 )
@@ -243,15 +250,8 @@ def test_cluster_non_finite_csv_is_data_error(tmp_path, capsys, cell):
     assert "row 3, column 2" in err
 
 
-@pytest.mark.parametrize("algorithm", ["sssc", "slrr"])
-@pytest.mark.parametrize(
-    "scale, message",
-    [(1e5, "--gamma"), (1e160, "sum of squares")],
-    ids=["ridge-not-positive-definite", "sum-of-squares-overflow"],
-)
-def test_cluster_badly_scaled_data_is_data_error(tmp_path, capsys, scale, message, algorithm):
-    # at 1e5, gamma = 1e-6 is below the rounding of X^T X; at 1e160 the
-    # squares overflow
+def _cluster_scaled_gaussian(tmp_path, algorithm, scale):
+    """``cluster`` at default knobs on a 40 x 6 Gaussian CSV times ``scale``."""
     data = tmp_path / "scaled.csv"
     X = np.random.default_rng(0).standard_normal((40, 6)) * scale
     np.savetxt(data, X, fmt="%.17g", delimiter=",")
@@ -260,12 +260,92 @@ def test_cluster_badly_scaled_data_is_data_error(tmp_path, capsys, scale, messag
         "cluster", "--algorithm", algorithm, "--input", str(data),
         "--k", "2", "--p", "20", "--seed", "0", "--output", str(out),
     )
+    return rc, out
+
+
+@pytest.mark.parametrize("algorithm", ["sssc", "slrr"])
+@pytest.mark.parametrize(
+    "scale, message", [(1e160, "sum of squares")], ids=["sum-of-squares-overflow"],
+)
+def test_cluster_badly_scaled_data_is_data_error(tmp_path, capsys, scale, message, algorithm):
+    rc, out = _cluster_scaled_gaussian(tmp_path, algorithm, scale)
     assert rc == 2
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("subclust: data error:")
     assert message in err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("algorithm", ["sssc", "slrr"])
+def test_cluster_large_data_runs_at_default_gamma(tmp_path, algorithm):
+    # at this scale gamma = 1e-6 is below the rounding of X^T X, which the
+    # ridge projector must therefore never form
+    rc, out = _cluster_scaled_gaussian(tmp_path, algorithm, 1e5)
+    assert rc == 0
+    assert len(out.with_suffix(".labels").read_text().split()) == 40
+
+
+@pytest.mark.parametrize("dims", ["4,4", "3,5"])
+def test_sssc_labels_invariant_under_data_scaling(tmp_path, dims):
+    # scaling the data by s scales (1/2)||y - Dc||^2 and the ridge fit by s^2
+    # and the residual by s; scaling lambda and gamma by s^2 and delta by s
+    # leaves every code, and so every label, as it was; lambda = 1e-2 suits
+    # the noise, so the labels compared are the right ones
+    data = tmp_path / "data.csv"
+    assert run_cli(
+        "synth", "--k", "2", "--ambient", "30", "--dims", dims, "--points", "40,40",
+        "--noise-sigma", "0.01", "--seed", "1", "--out", str(data),
+    ) == 0
+    X = np.loadtxt(data, delimiter=",")
+    labels = []
+    for s in (1.0, 2.0**-17, 1e5, 2.0**17):
+        scaled = tmp_path / f"scaled-{s!r}.csv"
+        np.savetxt(scaled, X * s, fmt="%.17g", delimiter=",")
+        out = tmp_path / f"scaled-{s!r}.json"
+        rc = run_cli(
+            "cluster", "--algorithm", "sssc", "--input", str(scaled),
+            "--labels", str(data.with_suffix(".labels")),
+            "--k", "2", "--p", "30", "--seed", "0", "--output", str(out),
+            "--lambda", repr(1e-2 * s * s), "--delta", repr(1e-3 * s),
+            "--gamma", repr(1e-6 * s * s),
+        )
+        assert rc == 0, s
+        assert json.loads(out.read_text())["accuracy"] == 1.0, s
+        labels.append(out.with_suffix(".labels").read_bytes())
+    assert labels[1:] == labels[:1] * 3
+
+
+@pytest.mark.parametrize("which", ["input", "labels", "config"])
+def test_non_utf8_file_is_data_error(tmp_path, synth_files, capsys, which):
+    data, labels = synth_files
+    files = {"input": data, "labels": labels, "config": tmp_path / "cfg.json"}
+    files["config"].write_text("{}")
+    bad = files[which]
+    bad.write_bytes(bad.read_bytes() + b"\xff\n")
+    out = tmp_path / "x.json"
+    rc = run_cli(
+        "cluster", "--algorithm", "sssc", "--input", str(files["input"]),
+        "--labels", str(files["labels"]), "--config", str(files["config"]),
+        "--k", "2", "--p", "40", "--seed", "0", "--output", str(out),
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("subclust: data error:")
+    assert str(bad) in err and "not UTF-8" in err
+    assert not out.exists()
+
+
+def test_solver_modules_import_without_scipy():
+    code = (
+        "import sys, subclust.sparse_coding, subclust.lowrank, subclust.oos; "
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
+    )
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 def test_cluster_k_above_p_is_usage_error(tmp_path, synth_files, capsys):

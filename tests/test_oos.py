@@ -35,12 +35,6 @@ def test_projector_approaches_transpose_for_orthonormal_columns():
     assert np.linalg.norm(dic.projector - Q.T) / np.linalg.norm(Q.T) <= 1e-6
 
 
-def test_default_gamma_accepted():
-    Q, labels = orthonormal_dictionary()
-    dic = build_dictionary(Q, labels, gamma=1e-6)
-    assert dic.gamma == 1e-6
-
-
 def test_single_column_projector_closed_form():
     x = np.array([[1.0], [2.0], [2.0]])
     gamma = 0.5
@@ -51,11 +45,14 @@ def test_single_column_projector_closed_form():
 
 def test_projector_satisfies_normal_equations():
     rng = np.random.default_rng(1)
-    X = rng.standard_normal((20, 30))
+    X0 = rng.standard_normal((20, 30))
     labels = ClusterAssignment(np.arange(30) % 3, 3)
-    dic = build_dictionary(X, labels, gamma=1e-6)
-    lhs = (X.T @ X + 1e-6 * np.eye(30)) @ dic.projector
-    assert np.linalg.norm(lhs - X.T) / np.linalg.norm(X.T) <= 1e-8
+    # at 1e5, gamma is below the rounding of X^T X: a projector formed from
+    # X^T X + gamma I could not be computed
+    for X in (X0, X0 * 1e5):
+        dic = build_dictionary(X, labels, gamma=1e-6)
+        lhs = (X.T @ X + 1e-6 * np.eye(30)) @ dic.projector
+        assert np.linalg.norm(lhs - X.T) / np.linalg.norm(X.T) <= 1e-8
 
 
 def test_build_dictionary_validates():
