@@ -220,11 +220,13 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
     if not cfg.gamma > 0:
         raise UsageError(f"--gamma must be positive, got {cfg.gamma}")
     n = data.n
+    if n < 2:  # self-representation needs two in-sample points
+        raise DataFormatError(f"clustering needs at least 2 samples, got {n}")
     # ssc and lrr are sssc and slrr on the whole data set
     p = n if cfg.algorithm in ("ssc", "lrr") else cfg.p
     if p is None:
         raise UsageError(f"--p is required for algorithm {cfg.algorithm}")
-    if not 2 <= p <= n:  # self-representation needs two in-sample points
+    if not 2 <= p <= n:
         raise UsageError(f"--p must lie in [2, {n}], got {p}")
     if not 1 <= cfg.k <= p:
         raise UsageError(
@@ -400,6 +402,9 @@ def _merge_config(args) -> RunConfig:
 
 def cmd_cluster(args) -> int:
     cfg = _merge_config(args)
+    out = Path(cfg.output)
+    if not out.parent.is_dir():  # fail before the run, not after it
+        raise FileNotFoundError(f"--output {out}: {out.parent} is not a directory")
     data = dataio.load_csv(cfg.input, has_header=cfg.has_header)
     truth = None
     if cfg.labels:
@@ -412,7 +417,6 @@ def cmd_cluster(args) -> int:
 
     report = run_pipeline(cfg, data, truth)
 
-    out = Path(cfg.output)
     labels_path = out.with_suffix(".labels")
     _write_labels(labels_path, report.labels.labels)
     with open(out, "w") as fh:

@@ -1,9 +1,9 @@
 """Clustering evaluation: accuracy under the best label matching, and NMI.
 
 Accuracy matches predicted clusters to truth classes by a maximum-weight
-assignment on the contingency counts (Kuhn-Munkres); NMI is mutual
-information over the contingency table normalized by the larger entropy,
-with base-2 logs and the 0 log 0 = 0 convention.
+assignment on the contingency counts (shortest augmenting paths); NMI is
+mutual information over the contingency table normalized by the larger
+entropy, with base-2 logs and the 0 log 0 = 0 convention.
 """
 
 from __future__ import annotations
@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import linear_sum_assignment
 
 from .types import ClusterAssignment
 
@@ -48,8 +47,52 @@ def accuracy(pred: ClusterAssignment, truth: ClusterAssignment) -> float:
     with pred.k != truth.k the surplus clusters or classes stay unmatched.
     """
     table = contingency(pred, truth)
-    rows, cols = linear_sum_assignment(table.counts, maximize=True)
-    return int(table.counts[rows, cols].sum()) / table.n
+    return _max_weight_matching(table.counts) / table.n
+
+
+def _max_weight_matching(weights: np.ndarray) -> int:
+    """Largest total of ``weights[i, j]`` over the one-to-one matchings of
+    the rows and columns of an integer matrix, each row or column used at
+    most once; every row or column of the smaller side is matched.
+
+    Shortest augmenting paths with dual potentials (Jonker & Volgenant,
+    Computing 1987): each row of the smaller side joins the matching by a
+    Dijkstra search over the columns on reduced costs, O(rows^2 * cols) in
+    all. The arithmetic is on integers, so the total is exact.
+    """
+    w = weights if weights.shape[0] <= weights.shape[1] else weights.T
+    rows, cols = w.shape
+    # minimize -w; the extra last column is the root every search starts from
+    cost = np.zeros((rows, cols + 1), dtype=np.int64)
+    cost[:, :cols] = -w
+    u = np.zeros(rows, dtype=np.int64)  # row potentials
+    v = np.zeros(cols + 1, dtype=np.int64)  # column potentials
+    owner = np.full(cols + 1, -1)  # the row matched to each column, -1 if none
+    for i in range(rows):
+        owner[cols] = i
+        j = cols
+        dist = np.full(cols + 1, np.iinfo(np.int64).max)
+        via = np.zeros(cols + 1, dtype=int)  # previous column on the path
+        done = np.zeros(cols + 1, dtype=bool)
+        while owner[j] != -1:
+            done[j] = True
+            r = owner[j]
+            reduced = cost[r] - u[r] - v
+            closer = ~done & (reduced < dist)
+            dist[closer] = reduced[closer]
+            via[closer] = j
+            free = np.flatnonzero(~done)
+            nxt = free[np.argmin(dist[free])]
+            delta = dist[nxt]
+            u[owner[done]] += delta
+            v[done] -= delta
+            dist[free] -= delta
+            j = nxt
+        while j != cols:  # flip the matching along the path back to the root
+            owner[j] = owner[via[j]]
+            j = via[j]
+    matched = np.flatnonzero(owner[:cols] != -1)
+    return int(w[owner[matched], matched].sum())
 
 
 def nmi(pred: ClusterAssignment, truth: ClusterAssignment) -> float:

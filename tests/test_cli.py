@@ -337,15 +337,89 @@ def test_non_utf8_file_is_data_error(tmp_path, synth_files, capsys, which):
     assert not out.exists()
 
 
+def _fresh_python(code, *args):
+    """Standard output of ``code`` run in a new interpreter on ``src/``."""
+    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", code, *args], env=env, capture_output=True, text=True
+    )
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout
+
+
 def test_solver_modules_import_without_scipy():
     code = (
-        "import sys, subclust.sparse_coding, subclust.lowrank, subclust.oos; "
+        "import sys, subclust.cli; "
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))"
     )
-    env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
-    proc = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "[]"
+    assert _fresh_python(code).strip() == "[]"
+
+
+def test_cluster_and_eval_load_only_stdlib_numpy_and_subclust(tmp_path, synth_files):
+    # every module imported after start-up; a lazy import that slips back
+    # onto the dense-eigh path fails here. numpy.random's Cython modules
+    # also register spec-less bookkeeping entries (cython_runtime,
+    # _cython_<version>) that no import loads, so those are skipped
+    data, labels = synth_files
+    runs = [
+        [
+            "cluster", "--algorithm", algorithm, "--input", str(data),
+            "--labels", str(labels), "--k", "2", "--p", "40", "--seed", "0",
+            "--output", str(tmp_path / f"{algorithm}.json"),
+        ]
+        for algorithm in ("sssc", "slrr")
+    ]
+    runs.append(["eval", "--pred", str(tmp_path / "sssc.labels"), "--truth", str(labels)])
+    code = (
+        "import sys\n"
+        "before = set(sys.modules)\n"
+        "import json\n"
+        "from subclust.cli import main\n"
+        "for argv in json.loads(sys.argv[1]):\n"
+        "    assert main(argv) == 0, argv\n"
+        "new = set(sys.modules) - before\n"
+        "loaded = {m.split('.')[0] for m in new if sys.modules[m].__spec__}\n"
+        "allowed = set(sys.stdlib_module_names) | {'numpy', 'subclust'}\n"
+        "print(json.dumps(sorted(loaded - allowed)))\n"
+    )
+    out = _fresh_python(code, json.dumps(runs))
+    assert json.loads(out.splitlines()[-1]) == []
+    assert json.loads(out.splitlines()[-2])["accuracy"] == 1.0
+
+
+@pytest.mark.parametrize("algorithm", ["sssc", "ssc"])
+def test_cluster_one_sample_is_data_error(tmp_path, capsys, algorithm):
+    one = tmp_path / "one.csv"
+    one.write_text("1,2,3\n")
+    out = tmp_path / "x.json"
+    rc = run_cli(
+        "cluster", "--algorithm", algorithm, "--input", str(one),
+        "--k", "1", "--p", "1", "--seed", "0", "--output", str(out),
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "subclust: data error: clustering needs at least 2 samples, got 1\n"
+    assert not out.exists()
+
+
+def test_cluster_output_in_missing_directory_fails_before_the_run(
+    tmp_path, synth_files, capsys, monkeypatch
+):
+    def never(*args, **kwargs):
+        raise AssertionError("entered after a bad --output")
+
+    monkeypatch.setattr(cli, "run_pipeline", never)
+    monkeypatch.setattr(dataio, "load_csv", never)
+    data, _ = synth_files
+    out = tmp_path / "missing" / "o.json"
+    rc = run_cli(
+        "cluster", "--algorithm", "sssc", "--input", str(data),
+        "--k", "2", "--p", "40", "--seed", "0", "--output", str(out),
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("subclust: data error: --output") and "missing" in err
 
 
 def test_cluster_k_above_p_is_usage_error(tmp_path, synth_files, capsys):

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.optimize import linear_sum_assignment
 
 from oracles import brute_force_assignment_cost
+from subclust import metrics
 from subclust.metrics import accuracy, contingency, nmi
 from subclust.types import ClusterAssignment
 
@@ -89,6 +91,40 @@ def test_accuracy_random_labels_match_brute_force():
         pred = assignment(rng.integers(0, k_pred, n), int(k_pred))
         truth = assignment(rng.integers(0, k_truth, n), int(k_truth))
         assert accuracy(pred, truth) == matched_by_brute_force(pred, truth) / n
+
+
+def labels_with_counts(counts):
+    """(pred, truth) whose contingency table is ``counts``."""
+    k_pred, k_truth = counts.shape
+    pred = np.repeat(np.repeat(np.arange(k_pred), k_truth), counts.ravel())
+    truth = np.repeat(np.tile(np.arange(k_truth), k_pred), counts.ravel())
+    return assignment(pred, k_pred), assignment(truth, k_truth)
+
+
+def test_accuracy_matches_scipy_assignment():
+    # scipy's assignment is the oracle. Each side's k is drawn on its own,
+    # rectangular tables included; entries in {0, 1, 2} and constant
+    # tables (all-zero ones too) are heavily tied, and zero rows and
+    # columns are common
+    rng = np.random.default_rng(4)
+    for trial in range(2000):
+        shape = tuple(int(k) for k in rng.integers(1, 12, size=2))
+        kind = trial % 4
+        if kind == 0:
+            counts = rng.integers(0, 50, size=shape)
+        elif kind == 1:
+            counts = rng.integers(0, 3, size=shape)
+        else:
+            counts = np.full(shape, int(rng.integers(4)) if kind == 2 else 0)
+        rows, cols = linear_sum_assignment(counts, maximize=True)
+        optimum = int(counts[rows, cols].sum())
+        assert metrics._max_weight_matching(counts) == optimum
+        if optimum == 0:  # no samples to score
+            continue
+        pred, truth = labels_with_counts(counts)
+        np.testing.assert_array_equal(contingency(pred, truth).counts, counts)
+        # the same float as the optimal total over n, hence the same total
+        assert accuracy(pred, truth) == optimum / counts.sum()
 
 
 def test_accuracy_rectangular_table():
