@@ -32,7 +32,7 @@ from typing import get_args, get_type_hints
 import numpy as np
 
 from . import dataio, metrics, oos, spectral
-from .errors import DataFormatError, SubclustError
+from .errors import DataFormatError, SubclustError, UnassignableSampleError
 from .lowrank import ERROR_NORMS, LrrConfig, outlier_columns, solve_lrr
 from .sparse_coding import SparseSelfRepConfig, sparse_self_representation
 from .types import ClusterAssignment, DataMatrix
@@ -294,20 +294,44 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
     )
 
 
-def assign(model: Model, Xbar: np.ndarray) -> tuple[ClusterAssignment, dict]:
-    """Code each column of ``Xbar`` over the model's dictionary and label it
-    by its smallest class residual, without solving the in-sample problem
-    again. Also returns the ``coding`` and ``classifying`` seconds."""
+def assign(model: Model, values: np.ndarray, columns: np.ndarray) -> tuple[ClusterAssignment, dict]:
+    """Code the given ``columns`` of ``values`` over the model's dictionary
+    and label each by its smallest class residual, without solving the
+    in-sample problem again. Also returns the ``coding`` and
+    ``classifying`` seconds.
+
+    Queries are taken ``oos.QUERY_CHUNK`` columns at a time, so no code
+    matrix or copy of the queries larger than one block is formed. Columns
+    that no class can reconstruct are gathered over all blocks and raised
+    as one UnassignableSampleError, which names them as 1-based data rows.
+    """
     cfg = model.config
+    seconds = {"coding": 0.0, "classifying": 0.0}
     if model.dictionary is None:  # p = n leaves no point to assign
-        return ClusterAssignment(np.empty(0, dtype=int), cfg.k), {"coding": 0.0, "classifying": 0.0}
-    t0 = time.perf_counter()
-    codes = oos.code_batch(model.dictionary, Xbar, mode=cfg.oos_coding, cfg=model.lasso_cfg)
-    t_coding = time.perf_counter()
+        return ClusterAssignment(np.empty(0, dtype=int), cfg.k), seconds
+    labels = np.empty(len(columns), dtype=int)
     regularized = cfg.oos_coding == "ridge"
-    labels = oos.classify_codes(model.dictionary, Xbar, codes, regularized=regularized)
-    t_classifying = time.perf_counter()
-    return labels, {"coding": t_coding - t0, "classifying": t_classifying - t_coding}
+    bad: list = []
+    for s in range(0, len(columns), oos.QUERY_CHUNK):
+        block = columns[s : s + oos.QUERY_CHUNK]
+        V = values[:, block]
+        t0 = time.perf_counter()
+        codes = oos.code_batch(model.dictionary, V, mode=cfg.oos_coding, cfg=model.lasso_cfg)
+        t_coding = time.perf_counter()
+        try:
+            labels[s : s + block.size] = oos.classify_codes(
+                model.dictionary, V, codes, regularized=regularized
+            ).labels
+        except UnassignableSampleError as exc:
+            bad.extend(block[exc.columns].tolist())
+        seconds["coding"] += t_coding - t0
+        seconds["classifying"] += time.perf_counter() - t_coding
+    if bad:
+        rows = sorted(c + 1 for c in bad)  # columns of values are data rows
+        shown = ", ".join(map(str, rows[:10]))
+        more = f" and {len(rows) - 10} more" if len(rows) > 10 else ""
+        raise UnassignableSampleError(bad, where=f"data row(s) {shown}{more}")
+    return ClusterAssignment(labels, cfg.k), seconds
 
 
 def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | None = None) -> RunReport:
@@ -325,7 +349,7 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
     t0 = time.perf_counter()
     model = fit(cfg, data)
     out = model.split.out_of_sample
-    labels_out, seconds = assign(model, data.values[:, out])
+    labels_out, seconds = assign(model, data.values, out)
     labels = np.empty(data.n, dtype=int)
     labels[model.split.in_sample] = model.labels
     labels[out] = labels_out.labels
@@ -348,8 +372,7 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
 
 def _write_labels(path: Path, labels: np.ndarray) -> None:
     with open(path, "w") as fh:
-        for value in labels:
-            fh.write(f"{int(value)}\n")
+        fh.write("".join(f"{value}\n" for value in labels.tolist()))
 
 
 def cmd_synth(args) -> int:
@@ -466,9 +489,9 @@ def cmd_bench(args) -> int:
         except ValueError as exc:  # a flag value the generator rejects
             raise UsageError(str(exc)) from None
         report = run_pipeline(cfg, dataset.data, dataset.truth)
-        Xbar = dataset.data.values[:, report.model.split.out_of_sample]
+        out = report.model.split.out_of_sample
         timings = [report.stage_seconds] + [
-            assign(report.model, Xbar)[1] for _ in range(args.repeats - 1)
+            assign(report.model, dataset.data.values, out)[1] for _ in range(args.repeats - 1)
         ]
         runs.append(
             {

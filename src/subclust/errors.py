@@ -16,9 +16,14 @@ class DegenerateAffinityError(SubclustError, ValueError):
 
 
 class UnassignableSampleError(SubclustError, RuntimeError):
-    """Out-of-sample points whose residual is +inf for every class."""
+    """Out-of-sample points whose residual is +inf for every class.
 
-    def __init__(self, columns=None):
+    ``columns`` lists them by column of the matrix that was assigned;
+    ``where`` names them in the message, by default as those columns.
+    """
+
+    def __init__(self, columns=None, where=None):
         self.columns = list(columns) if columns is not None else []
-        where = f"column(s) {self.columns}" if self.columns else "the query point"
+        if where is None:
+            where = f"column(s) {self.columns}" if self.columns else "the query point"
         super().__init__(f"no class produced a finite residual for {where}")

@@ -6,22 +6,24 @@ as the projector W diag(s / (s^2 + gamma)) U^T from the thin SVD
 X = U diag(s) W^T. The SVD never forms X^T X, whose rounding would swamp a
 small gamma once X is large. Sparse coding delegates to
 the l1 solver (without any zero-diagonal constraint, since the query point
-is not in the dictionary); a batch prepares the dictionary's Gram matrix and
-step bound once for all its queries.
+is not in the dictionary). Everything shared by all queries, the per-class
+Gram matrices and, in sparse mode, the lasso Gram matrix and step bound, is
+computed once per dictionary.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
 from .errors import UnassignableSampleError
-from .sparse_coding import SparseSelfRepConfig, lasso_dictionary, solve_lasso
+from .sparse_coding import LassoDictionary, SparseSelfRepConfig, lasso_dictionary, solve_lasso
 from .types import ClusterAssignment, DataMatrix
 
-# queries are processed in fixed-size column blocks so the working set stays
-# cache-resident regardless of how many points are classified
+# queries are coded and classified in blocks of this many columns, so the
+# working set is O((m + p) * QUERY_CHUNK) however many points are assigned
 QUERY_CHUNK = 512
 
 # out-of-sample coding modes, in the order the command line lists them
@@ -30,12 +32,19 @@ CODING_MODES = ("ridge", "sparse")
 
 @dataclass(frozen=True)
 class ClassDictionary:
-    """In-sample data with labels and the cached ridge projector."""
+    """In-sample data with labels, the cached ridge projector and the
+    per-class Gram matrices every classification shares."""
 
     X: DataMatrix
     labels: ClusterAssignment
     projector: np.ndarray  # (p, m), equals (X^T X + gamma I)^{-1} X^T
-    class_indices: tuple = field(repr=False, default=())
+    class_indices: tuple = field(repr=False)
+    grams: tuple = field(repr=False)  # X_j^T X_j for each class j
+
+    @cached_property
+    def lasso(self) -> LassoDictionary:
+        """The lasso dictionary of sparse coding, built on first use."""
+        return lasso_dictionary(self.X)
 
     @property
     def k(self) -> int:
@@ -58,9 +67,11 @@ def build_dictionary(X, labels: ClusterAssignment, gamma: float = 1e-6) -> Class
     class_indices = tuple(
         np.flatnonzero(labels.labels == j) for j in range(labels.k)
     )
+    D = X.values
     return ClassDictionary(
         X=X, labels=labels, projector=projector,
         class_indices=class_indices,
+        grams=tuple(D[:, idx].T @ D[:, idx] for idx in class_indices),
     )
 
 
@@ -83,15 +94,10 @@ def code_batch(
             f"queries must be {dictionary.X.m} x q, got shape {V.shape}"
         )
     if mode == "ridge":
-        codes = np.empty((dictionary.p, V.shape[1]))
-        for s in range(0, V.shape[1], QUERY_CHUNK):
-            block = V[:, s : s + QUERY_CHUNK]
-            codes[:, s : s + block.shape[1]] = dictionary.projector @ block
-        return codes
-    prep = lasso_dictionary(dictionary.X)
+        return dictionary.projector @ V
     codes = np.empty((dictionary.p, V.shape[1]))
     for j in range(V.shape[1]):
-        codes[:, j] = solve_lasso(prep, V[:, j], cfg).coefficients
+        codes[:, j] = solve_lasso(dictionary.lasso, V[:, j], cfg).coefficients
     return codes
 
 
@@ -107,37 +113,31 @@ def classify_codes(
     only. Regularized residuals divide by the norm of those coefficients; a
     class whose coefficients are all zero gets +inf there, so it can never
     win. Ties break toward the lowest class index. Queries whose every class
-    residual is +inf raise UnassignableSampleError, which lists them.
+    residual is +inf raise UnassignableSampleError, which lists their
+    positions in ``Xbar``.
     """
     V = Xbar.values if isinstance(Xbar, DataMatrix) else np.asarray(Xbar, dtype=float)
     q = V.shape[1]
     if q == 0:
         return ClusterAssignment(np.empty(0, dtype=int), dictionary.k)
-    D = dictionary.X.values
     # residuals expand as ||v||^2 - 2 c.(A^T v) + c.(A^T A)c, which needs one
-    # pass over each query block for all classes; the cancellation floor
+    # pass over the queries for all classes; the cancellation floor
     # (~1e-8 ||v||) is far below any argmin margin that matters
-    grams = [D[:, idx].T @ D[:, idx] for idx in dictionary.class_indices]
-    labels = np.empty(q, dtype=int)
-    bad: list = []
-    for s in range(0, q, QUERY_CHUNK):
-        Vb = V[:, s : s + QUERY_CHUNK]
-        vv = np.einsum("ij,ij->j", Vb, Vb)
-        DtV = D.T @ Vb
-        residuals = np.full((dictionary.k, Vb.shape[1]), np.inf)
-        for j, idx in enumerate(dictionary.class_indices):
-            block = codes[idx, s : s + Vb.shape[1]]
-            cross = np.einsum("ij,ij->j", block, DtV[idx, :])
-            quad = np.einsum("ij,ij->j", block, grams[j] @ block)
-            res = np.sqrt(np.maximum(vv - 2.0 * cross + quad, 0.0))
-            if regularized:
-                norms = np.linalg.norm(block, axis=0)
-                ok = norms > 0
-                residuals[j, ok] = res[ok] / norms[ok]
-            else:
-                residuals[j, :] = res
-        bad.extend((s + np.flatnonzero(~np.any(np.isfinite(residuals), axis=0))).tolist())
-        labels[s : s + Vb.shape[1]] = np.argmin(residuals, axis=0)
-    if bad:
-        raise UnassignableSampleError(bad)
-    return ClusterAssignment(labels, dictionary.k)
+    vv = np.einsum("ij,ij->j", V, V)
+    DtV = dictionary.X.values.T @ V
+    residuals = np.full((dictionary.k, q), np.inf)
+    for j, idx in enumerate(dictionary.class_indices):
+        coeffs = codes[idx, :]
+        cross = np.einsum("ij,ij->j", coeffs, DtV[idx, :])
+        quad = np.einsum("ij,ij->j", coeffs, dictionary.grams[j] @ coeffs)
+        res = np.sqrt(np.maximum(vv - 2.0 * cross + quad, 0.0))
+        if regularized:
+            norms = np.linalg.norm(coeffs, axis=0)
+            ok = norms > 0
+            residuals[j, ok] = res[ok] / norms[ok]
+        else:
+            residuals[j, :] = res
+    bad = np.flatnonzero(~np.any(np.isfinite(residuals), axis=0))
+    if bad.size:
+        raise UnassignableSampleError(bad.tolist())
+    return ClusterAssignment(np.argmin(residuals, axis=0), dictionary.k)

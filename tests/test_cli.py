@@ -5,6 +5,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 import typing
 from pathlib import Path
 
@@ -13,8 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subclust import cli, dataio
+from subclust import cli, dataio, oos
 from subclust.cli import RunConfig, build_parser, main, run_pipeline
+from subclust.errors import UnassignableSampleError
 
 
 def run_cli(*argv):
@@ -248,6 +250,28 @@ def test_cluster_non_finite_csv_is_data_error(tmp_path, capsys, cell):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "row 3, column 2" in err
+
+
+@pytest.mark.parametrize("algorithm", ["sssc", "slrr"])
+def test_cluster_unassignable_point_names_its_data_row(tmp_path, capsys, algorithm):
+    # a zero row has a zero ridge code, so every regularized residual is +inf;
+    # at seed 0 the first out-of-sample point is data row 6 (1-based)
+    data = tmp_path / "data.csv"
+    assert run_cli(
+        "synth", "--k", "2", "--ambient", "20", "--dims", "3,3",
+        "--points", "30,30", "--seed", "0", "--out", str(data),
+    ) == 0
+    rows = data.read_text().splitlines()
+    rows[5] = ",".join(["0"] * 20)
+    data.write_text("\n".join(rows) + "\n")
+    capsys.readouterr()
+    rc = run_cli(
+        "cluster", "--algorithm", algorithm, "--input", str(data),
+        "--k", "2", "--p", "30", "--seed", "0", "--output", str(tmp_path / "x.json"),
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err == "subclust: error: no class produced a finite residual for data row(s) 6\n"
 
 
 def _cluster_scaled_gaussian(tmp_path, algorithm, scale):
@@ -632,6 +656,90 @@ def test_cluster_non_convergence_exits_3_with_report(tmp_path, synth_files):
 
 def test_usage_error_exit_code():
     assert run_cli("cluster", "--algorithm", "nope") == 1
+
+
+# --- assign --------------------------------------------------------------------
+
+
+def _fitted(mode, n_queries, algorithm="sssc", p=40, ambient=30):
+    """A model fitted on clean data whose out-of-sample split has
+    ``n_queries`` points. Its l1 weight 1e-2 gives sparse codes that are
+    not all zero."""
+    dataset = dataio.synth_subspaces(
+        k=2, ambient=ambient, dim_per=[3, 3],
+        points_per=[(p + n_queries) // 2, (p + n_queries + 1) // 2], seed=5,
+    )
+    cfg = RunConfig(
+        algorithm=algorithm, k=2, p=p, seed=0, lam=1e-2, oos_coding=mode,
+        input=None, output=None,
+    )
+    return cli.fit(cfg, dataset.data), dataset.data.values
+
+
+@pytest.mark.parametrize("mode", oos.CODING_MODES)
+def test_assign_streams_blocks_like_one_batch(monkeypatch, mode):
+    # a small block keeps the sparse case's per-query lassos few; assign
+    # reads the block size at call time
+    monkeypatch.setattr(oos, "QUERY_CHUNK", 16)
+    q = 2 * oos.QUERY_CHUNK + 7
+    model, values = _fitted(mode, q)
+    out = model.split.out_of_sample
+    assert out.size == q
+    built = []
+    build = oos.lasso_dictionary
+
+    def counting(X):
+        built.append(X)
+        return build(X)
+
+    monkeypatch.setattr(oos, "lasso_dictionary", counting)
+    streamed, seconds = cli.assign(model, values, out)
+    # the sparse dictionary is built once per model, not once per block
+    assert len(built) == (1 if mode == "sparse" else 0)
+    assert set(seconds) == {"coding", "classifying"}
+    Xbar = values[:, out]
+    codes = oos.code_batch(model.dictionary, Xbar, mode=mode, cfg=model.lasso_cfg)
+    whole = oos.classify_codes(model.dictionary, Xbar, codes, regularized=mode == "ridge")
+    np.testing.assert_array_equal(streamed.labels, whole.labels)
+    assert set(streamed.labels) == {0, 1}
+
+
+def test_assign_reports_unassignable_columns_of_every_block():
+    q = 2 * oos.QUERY_CHUNK + 7
+    model, values = _fitted("ridge", q)
+    out = model.split.out_of_sample
+    zeroed = [1, oos.QUERY_CHUNK, q - 1]  # first block, second block, last block
+    values = values.copy()
+    values[:, out[zeroed]] = 0.0
+    Xbar = values[:, out]
+    with pytest.raises(UnassignableSampleError) as whole:
+        oos.classify_codes(model.dictionary, Xbar, oos.code_batch(model.dictionary, Xbar))
+    assert whole.value.columns == zeroed
+    with pytest.raises(UnassignableSampleError) as streamed:
+        cli.assign(model, values, out)
+    assert streamed.value.columns == out[zeroed].tolist()
+    rows = ", ".join(str(c + 1) for c in out[zeroed])
+    assert str(streamed.value).endswith(f"data row(s) {rows}")
+
+
+def test_assign_memory_does_not_grow_with_the_number_of_queries():
+    # p = 200 and m = 100: one p x q code matrix at q = 20000 is 30.5 MiB;
+    # slrr fits this dictionary faster than sssc
+    p, q = 200, 20_000
+    model, values = _fitted("ridge", q, algorithm="slrr", p=p, ambient=100)
+    out = model.split.out_of_sample
+    cli.assign(model, values, out[:10])  # first-call set-up stays out of the peaks
+    peaks = {}
+    tracemalloc.start()
+    try:
+        for n_queries in (2_000, q):
+            tracemalloc.reset_peak()
+            cli.assign(model, values, out[:n_queries])
+            peaks[n_queries] = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peaks[q] < 0.25 * p * q * 8, peaks
+    assert peaks[q] <= 1.25 * peaks[2_000], peaks
 
 
 # --- eval ---------------------------------------------------------------------
