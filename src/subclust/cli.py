@@ -200,8 +200,10 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
     # one-line usage error instead of a traceback from deep inside a solver
     sparse = cfg.algorithm in ("sssc", "ssc")
     try:
+        # under slrr/lrr --lambda weighs the LRR error term, so sparse
+        # out-of-sample coding takes the sssc default l1 weight instead
         lasso_cfg = SparseSelfRepConfig(
-            lam=cfg.lam,
+            lam=cfg.lam if sparse else LAMBDA_DEFAULTS["sssc"],
             delta=cfg.delta,
             max_iterations=cfg.lasso_max_iterations,
             kkt_tol=cfg.kkt_tol,

@@ -14,6 +14,13 @@ D^T D and the exact step bound ||D||_2^2, is computed once per dictionary
 columns of a self-representation, or all out-of-sample queries. The zero
 diagonal of a self-representation is enforced by clamping the excluded
 coefficient to zero, not by copying the dictionary with that column zeroed.
+
+The solver is FISTA (Beck & Teboulle 2009), and each step makes one
+dictionary product: G x at the new iterate, with G = D^T D, or D^T (D x)
+when G is not formed. The product at the extrapolated point follows from
+the momentum step's linearity. The residual rule ||y - D c||_2 <= delta is
+tested at every iterate, as y^T y - 2 (D^T y)^T c + c^T G c from the stored
+G c; the stationarity (KKT) conditions are tested every KKT_EVERY iterations.
 """
 
 from __future__ import annotations
@@ -28,14 +35,19 @@ from .types import DataMatrix, SolverReport
 # entries smaller than this are snapped to exact zero when forming supports
 SNAP_TOL = 1e-12
 
+# iterations between stationarity (KKT) tests; the residual rule is tested
+# at every iterate
+KKT_EVERY = 10
+
 
 @dataclass(frozen=True)
 class SparseSelfRepConfig:
     """Knobs for the l1 solver.
 
     lam            l1 weight of (1/2)||y - D c||^2 + lam ||c||_1
-    delta          data-residual tolerance; when > 0 iteration stops early
-                   once ||y - D c||_2 <= delta
+    delta          data-residual tolerance; when > 0 iteration stops at the
+                   first iterate with ||y - D c||_2 <= delta (tested at every
+                   iterate; the KKT test runs every KKT_EVERY iterations)
     max_iterations iteration cap; hitting it returns the best iterate with
                    converged=False
     kkt_tol        relative stationarity tolerance for declaring convergence
@@ -112,13 +124,10 @@ def kkt_violation(correlations: np.ndarray, c: np.ndarray, tau: float) -> float:
     ``correlations`` is D^T (y - D c). On the support the correlation must
     equal tau * sign(c_j); off the support its magnitude must not exceed tau.
     """
-    on = c != 0.0
-    v = 0.0
-    if np.any(on):
-        v = float(np.max(np.abs(correlations[on] - tau * np.sign(c[on]))))
-    if np.any(~on):
-        v = max(v, float(max(np.max(np.abs(correlations[~on])) - tau, 0.0)))
-    return v / tau
+    excess = np.where(
+        c != 0.0, np.abs(correlations - tau * np.sign(c)), np.abs(correlations) - tau
+    )
+    return max(float(excess.max()), 0.0) / tau
 
 
 def solve_lasso(
@@ -165,7 +174,9 @@ def solve_lasso(
             report=SolverReport(iterations, obj, res, converged),
         )
 
-    if cfg.delta > 0 and float(np.linalg.norm(y)) <= cfg.delta:
+    yty = float(y @ y)
+    delta_sq = cfg.delta * cfg.delta
+    if cfg.delta > 0 and yty <= delta_sq:
         return finish(np.zeros(p), 0, True)  # zero already meets the tolerance
     b = D.T @ y
     if exclude is not None:
@@ -180,46 +191,65 @@ def solve_lasso(
     denom = max(tau, scale)
 
     G = prep.gram
-    use_gram = G is not None
-    if use_gram:
-        yty = float(y @ y)
+    if G is not None:
+        def product(v, out):  # G v
+            np.dot(G, v, out=out)
+    else:
+        def product(v, out):  # D^T (D v), without forming G
+            np.dot(D.T, D @ v, out=out)
 
     step = 1.0 / prep.lipschitz
     thr = step * tau
 
-    x = np.zeros(p)
-    z = x
+    # Two iterate buffers with rows (x, G x, b); state[k] is the current one.
+    # The momentum step is linear, so the prox input at the extrapolated
+    # point z = x + beta (x - x_prev),
+    #     v = z - step (G z - b)
+    #       = (1 + beta) (x - step G x) - beta (x_prev - step G x_prev) + step b,
+    # is one weighted sum of the six rows and needs no product of its own.
+    state = np.zeros((2, 3, p))
+    state[:, 2] = b
+    rows = state.reshape(6, p)
+    weights = np.zeros((2, 3))
+    flat_weights = weights.reshape(6)
+    v = np.empty(p)
+    clamp = np.empty(p)
+    k = 0
     t = 1.0
-    check_every = 10
+    beta = 0.0
     converged = False
     it = 0
     for it in range(1, cfg.max_iterations + 1):
-        grad = (G @ z - b) if use_gram else (D.T @ (D @ z - y))
-        x_new = soft_threshold(z - step * grad, thr)
+        weights[k] = (1.0 + beta, -step * (1.0 + beta), step)
+        weights[1 - k] = (-beta, step * beta, 0.0)
+        np.dot(flat_weights, rows, out=v)
+        k = 1 - k  # the new iterate overwrites the previous one
+        x, Gx = state[k, 0], state[k, 1]
+        # x = soft(v, thr) = v - clamp(v, -thr, thr)
+        np.minimum(v, thr, out=clamp)
+        np.maximum(clamp, -thr, out=clamp)
+        np.subtract(v, clamp, out=x)
         if exclude is not None:
-            x_new[exclude] = 0.0
-        t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
-        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
-        x, t = x_new, t_new
-        if it % check_every == 0 or it == cfg.max_iterations:
-            if use_gram:
-                Gx = G @ x
-                corr = b - Gx
-                res = sqrt(max(yty - 2.0 * float(b @ x) + float(x @ Gx), 0.0))
-            else:
-                r = y - D @ x
-                corr = D.T @ r
-                res = float(np.linalg.norm(r))
+            x[exclude] = 0.0
+        product(x, Gx)
+        if cfg.delta > 0:
+            # ||y - D x||^2 = y^T y - 2 b^T x + x^T G x, from one product
+            # of rows (G x, b) with x
+            xGx, bx = state[k, 1:].dot(x).tolist()
+            if yty - 2.0 * bx + xGx <= delta_sq:
+                converged = True
+                break
+        if it % KKT_EVERY == 0 or it == cfg.max_iterations:
+            corr = b - Gx
             if exclude is not None:
                 corr[exclude] = 0.0
-            viol = kkt_violation(corr, x, tau) * tau / denom
-            if viol <= cfg.kkt_tol:
+            if kkt_violation(corr, x, tau) * tau / denom <= cfg.kkt_tol:
                 converged = True
                 break
-            if cfg.delta > 0 and res <= cfg.delta:
-                converged = True
-                break
-    return finish(x, it, converged)
+        t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))
+        beta = (t - 1.0) / t_new
+        t = t_new
+    return finish(state[k, 0], it, converged)
 
 
 def sparse_self_representation(Y, cfg: SparseSelfRepConfig | None = None):

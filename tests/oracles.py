@@ -7,7 +7,9 @@ is the p x p inexact-ALM iteration that the row-space solver replaced; it
 reuses the proximal steps (tested on their own against closed forms) and
 checks only the reduction to the row space. The per-point out-of-sample
 assignment forms each class residual directly, where ``classify_codes``
-expands it over a whole batch.
+expands it over a whole batch. The FISTA oracle is the lasso loop that
+``solve_lasso`` replaced: separate products for the gradient and for the
+stopping tests, both tested only every tenth iteration.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from scipy.linalg import cho_factor, cho_solve
 
 from subclust.errors import UnassignableSampleError
 from subclust.lowrank import LrrConfig, _error_prox, _error_value, svt
+from subclust.sparse_coding import SNAP_TOL, soft_threshold
 from subclust.types import SolverReport
 
 
@@ -59,6 +62,77 @@ def subgradient_lasso_batch(Ds, ys, lams, iterations=1_000_000):
 
 def subgradient_lasso(D, y, lam, iterations=1_000_000):
     return float(subgradient_lasso_batch(D[None], y[None], np.array([lam]), iterations)[0])
+
+
+def masked_kkt_violation(correlations, c, tau):
+    """Worst stationarity violation relative to tau, support and off-support
+    entries taken separately."""
+    on = c != 0.0
+    v = 0.0
+    if np.any(on):
+        v = float(np.max(np.abs(correlations[on] - tau * np.sign(c[on]))))
+    if np.any(~on):
+        v = max(v, float(max(np.max(np.abs(correlations[~on])) - tau, 0.0)))
+    return v / tau
+
+
+def fista_every_tenth_lasso(prep, y, cfg, exclude=None):
+    """(coefficients, iterations) of FISTA on (1/2)||y - D c||^2 + cfg.lam ||c||_1.
+
+    Each step takes the gradient at the extrapolated point with its own
+    product; every tenth iteration (and at the cap) a second product gives
+    the correlations and the residual, and the loop stops when the KKT
+    violation is within cfg.kkt_tol or the residual within cfg.delta.
+    """
+    D = prep.D
+    y = np.asarray(y, dtype=float).ravel()
+    p = D.shape[1]
+    tau = cfg.lam
+
+    if cfg.delta > 0 and float(np.linalg.norm(y)) <= cfg.delta:
+        return np.zeros(p), 0
+    b = D.T @ y
+    if exclude is not None:
+        b[exclude] = 0.0
+    scale = float(np.max(np.abs(b)))
+    if scale <= tau:
+        return np.zeros(p), 0
+    denom = max(tau, scale)
+    G = prep.gram
+    use_gram = G is not None
+    yty = float(y @ y)
+    step = 1.0 / prep.lipschitz
+    thr = step * tau
+
+    x = np.zeros(p)
+    z = x
+    t = 1.0
+    it = 0
+    for it in range(1, cfg.max_iterations + 1):
+        grad = (G @ z - b) if use_gram else (D.T @ (D @ z - y))
+        x_new = soft_threshold(z - step * grad, thr)
+        if exclude is not None:
+            x_new[exclude] = 0.0
+        t_new = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+        z = x_new + ((t - 1.0) / t_new) * (x_new - x)
+        x, t = x_new, t_new
+        if it % 10 == 0 or it == cfg.max_iterations:
+            if use_gram:
+                Gx = G @ x
+                corr = b - Gx
+                res = np.sqrt(max(yty - 2.0 * float(b @ x) + float(x @ Gx), 0.0))
+            else:
+                r = y - D @ x
+                corr = D.T @ r
+                res = float(np.linalg.norm(r))
+            if exclude is not None:
+                corr[exclude] = 0.0
+            if masked_kkt_violation(corr, x, tau) * tau / denom <= cfg.kkt_tol:
+                break
+            if cfg.delta > 0 and res <= cfg.delta:
+                break
+    x[np.abs(x) < SNAP_TOL] = 0.0
+    return x, it
 
 
 def brute_force_assignment_cost(cost):

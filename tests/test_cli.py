@@ -137,6 +137,23 @@ def test_cluster_slrr_exact_on_clean_data(tmp_path, synth_files):
     assert report["accuracy"] == 1.0
 
 
+def test_cluster_slrr_sparse_coding_ignores_the_lrr_weight(tmp_path):
+    # under slrr --lambda weighs the LRR error term (default 1.0); as the l1
+    # weight it zeroes every sparse code, and every point then ties on class 0
+    data = tmp_path / "data.csv"
+    assert run_cli(
+        "synth", "--k", "2", "--ambient", "30", "--dims", "3,3",
+        "--points", "100,100", "--seed", "1", "--out", str(data),
+    ) == 0
+    report_path = tmp_path / "report.json"
+    assert run_cli(
+        "cluster", "--algorithm", "slrr", "--input", str(data),
+        "--labels", str(data.with_suffix(".labels")), "--k", "2", "--p", "60",
+        "--seed", "0", "--oos-coding", "sparse", "--output", str(report_path),
+    ) == 0
+    assert json.loads(report_path.read_text())["accuracy"] == 1.0
+
+
 def test_cluster_full_sample_matches_whole_data_mode(tmp_path, synth_files):
     data, labels = synth_files
     for sampled, whole in (

@@ -5,10 +5,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import lasso_objective, subgradient_lasso
+from oracles import (
+    fista_every_tenth_lasso,
+    lasso_objective,
+    masked_kkt_violation,
+    subgradient_lasso,
+)
 from subclust.dataio import synth_subspaces
 from subclust.sparse_coding import (
     SparseSelfRepConfig,
+    kkt_violation,
     lasso_dictionary,
     soft_threshold,
     solve_lasso,
@@ -174,6 +180,51 @@ def test_delta_stops_early():
     code = solve_lasso(lasso_dictionary(D), y, cfg)
     assert code.report.converged
     assert code.report.residual_norm < 0.5 * np.linalg.norm(y)
+
+
+@pytest.mark.parametrize("exclude", [None, 3])
+@pytest.mark.parametrize("shape", [(12, 20), (6, 20)])  # Gram path, then not
+def test_matches_the_every_tenth_iteration_loop(shape, exclude):
+    rng = np.random.default_rng(21)
+    D = rng.standard_normal(shape)
+    prep = lasso_dictionary(D)
+    assert (prep.gram is not None) == (shape[1] <= 2 * shape[0])
+    saved = 0
+    for _ in range(5):
+        y = rng.standard_normal(shape[0])
+        b = D.T @ y
+        if exclude is not None:
+            b[exclude] = 0.0
+        tau = 0.1 * np.max(np.abs(b))
+        strict = strict_cfg(tau, kkt_tol=1e-10)
+        code = solve_lasso(prep, y, strict, exclude=exclude)
+        reference, _ = fista_every_tenth_lasso(prep, y, strict, exclude)
+        assert code.report.converged
+        np.testing.assert_allclose(code.coefficients, reference, rtol=0, atol=1e-8)
+        if exclude is not None:
+            assert code.coefficients[exclude] == 0.0
+        # a residual tolerance just above the optimum's stops both loops on it
+        delta = 1.05 * code.report.residual_norm
+        early = SparseSelfRepConfig(lam=tau, delta=delta, kkt_tol=1e-12,
+                                    max_iterations=100_000)
+        code = solve_lasso(prep, y, early, exclude=exclude)
+        _, iterations = fista_every_tenth_lasso(prep, y, early, exclude)
+        assert code.report.converged
+        assert code.report.residual_norm <= delta * (1.0 + 1e-6)
+        assert code.report.iterations <= iterations
+        saved += iterations - code.report.iterations
+    assert saved > 0  # the residual rule is tested between the tenth iterations
+
+
+def test_kkt_violation_matches_masked_form():
+    rng = np.random.default_rng(22)
+    for support in (0, 3, 8):
+        for _ in range(20):
+            c = np.zeros(8)
+            c[rng.choice(8, support, replace=False)] = rng.standard_normal(support)
+            corr = rng.standard_normal(8)
+            tau = rng.uniform(0.1, 2.0)
+            assert kkt_violation(corr, c, tau) == masked_kkt_violation(corr, c, tau)
 
 
 def test_config_validation():

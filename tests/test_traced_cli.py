@@ -57,3 +57,27 @@ def test_traced_runs_record_every_pipeline_span(tmp_path):
         assert proc.returncode == 0, proc.stderr
         recorded |= {span[0] for span in json.loads(trace.read_text())["spans"]}
     assert PIPELINE_SPANS <= recorded, PIPELINE_SPANS - recorded
+
+
+def test_traced_lasso_spans_match_the_report(tmp_path):
+    # the benchmark's cross-check: one sparse_coding.solve_lasso span per
+    # in-sample column, one oos.solve_lasso span per out-of-sample point
+    data = tmp_path / "data.csv"
+    assert main([
+        "synth", "--k", "2", "--ambient", "30", "--dims", "3,3",
+        "--points", "40,40", "--seed", "0", "--out", str(data),
+    ]) == 0
+    trace, report = tmp_path / "trace.json", tmp_path / "report.json"
+    proc = subprocess.run(
+        [
+            sys.executable, str(TRACED_CLI), str(trace), "cluster",
+            "--algorithm", "sssc", "--input", str(data), "--k", "2", "--p", "30",
+            "--seed", "0", "--oos-coding", "sparse", "--output", str(report),
+        ],
+        env=dict(os.environ, PYTHONPATH=str(ROOT / "src")), capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    names = [span[0] for span in json.loads(trace.read_text())["spans"]]
+    solver = json.loads(report.read_text())["solver"]
+    assert names.count("sparse_coding.solve_lasso") == solver["columns"] == 30
+    assert names.count("oos.solve_lasso") == 80 - 30
