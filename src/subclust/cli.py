@@ -3,7 +3,7 @@
 The clustering pipeline runs "sampling, clustering, coding, classifying".
 ``fit`` splits the data, clusters the in-sample part with SSC or LRR plus
 spectral clustering and builds the out-of-sample dictionary; ``assign``
-codes points over it and labels each by its minimal regularized residual.
+codes points over it and labels each by its minimal class residual.
 ``run_pipeline`` is ``fit`` then ``assign``; ``cluster`` and ``bench`` run
 it, and ``bench`` then times ``assign`` again on the same fit. ``ssc`` and
 ``lrr`` are ``sssc`` and ``slrr`` with p = n.
@@ -38,6 +38,8 @@ from .sparse_coding import SparseSelfRepConfig, sparse_self_representation
 from .types import ClusterAssignment, DataMatrix
 
 ALGORITHMS = ("sssc", "slrr", "ssc", "lrr")
+# out-of-sample coding modes, in the order the command line lists them
+CODING_MODES = ("ridge", "sparse")
 # --lambda defaults depend on the algorithm (sparse weight vs. LRR balance)
 LAMBDA_DEFAULTS = {"sssc": 1e-5, "ssc": 1e-5, "slrr": 1.0, "lrr": 1.0}
 
@@ -77,7 +79,7 @@ class RunConfig:
     lasso_max_iterations: int = 20000
     lrr_max_iterations: int = 500
     constraint_tol: float = 1e-7
-    oos_coding: str = _knob("ridge", choices=oos.CODING_MODES)
+    oos_coding: str = _knob("ridge", choices=CODING_MODES)
     row_normalize: bool = True
     pca_energy: float | None = None
     mu_init: float = 1e-2
@@ -152,7 +154,6 @@ class Model:
     split: dataio.SampleSplit
     labels: np.ndarray  # of the in-sample points, in split.in_sample order
     dictionary: oos.ClassDictionary | None
-    lasso_cfg: SparseSelfRepConfig
     solver: dict
     converged: bool
     excluded_columns: list
@@ -283,6 +284,7 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
             DataMatrix(X.values[:, keep]),
             ClusterAssignment(labels[keep], cfg.k),
             gamma=cfg.gamma,
+            lasso_cfg=lasso_cfg if cfg.oos_coding == "sparse" else None,
         )
     stage_seconds = {
         "sampling": t_sampling - t0,
@@ -291,7 +293,7 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
     }
     return Model(
         config=cfg, split=split, labels=labels, dictionary=dictionary,
-        lasso_cfg=lasso_cfg, solver=solver, converged=converged,
+        solver=solver, converged=converged,
         excluded_columns=excluded, stage_seconds=stage_seconds,
     )
 
@@ -312,18 +314,15 @@ def assign(model: Model, values: np.ndarray, columns: np.ndarray) -> tuple[Clust
     if model.dictionary is None:  # p = n leaves no point to assign
         return ClusterAssignment(np.empty(0, dtype=int), cfg.k), seconds
     labels = np.empty(len(columns), dtype=int)
-    regularized = cfg.oos_coding == "ridge"
     bad: list = []
     for s in range(0, len(columns), oos.QUERY_CHUNK):
         block = columns[s : s + oos.QUERY_CHUNK]
         V = values[:, block]
         t0 = time.perf_counter()
-        codes = oos.code_batch(model.dictionary, V, mode=cfg.oos_coding, cfg=model.lasso_cfg)
+        codes = oos.code_batch(model.dictionary, V)
         t_coding = time.perf_counter()
         try:
-            labels[s : s + block.size] = oos.classify_codes(
-                model.dictionary, V, codes, regularized=regularized
-            ).labels
+            labels[s : s + block.size] = oos.classify_codes(model.dictionary, V, codes).labels
         except UnassignableSampleError as exc:
             bad.extend(block[exc.columns].tolist())
         seconds["coding"] += t_coding - t0

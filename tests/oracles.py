@@ -6,8 +6,8 @@ permutations, the k-means oracle enumerates set partitions. The LRR oracle
 is the p x p inexact-ALM iteration that the row-space solver replaced; it
 reuses the proximal steps (tested on their own against closed forms) and
 checks only the reduction to the row space. The per-point out-of-sample
-assignment forms each class residual directly, where ``classify_codes``
-expands it over a whole batch. The FISTA oracle is the lasso loop that
+assignment codes and classifies one point at a time, where
+``classify_codes`` takes a whole batch of codes at once. The FISTA oracle is the lasso loop that
 ``solve_lasso`` replaced: separate products for the gradient and for the
 stopping tests, both tested only every tenth iteration.
 """

@@ -693,15 +693,11 @@ def _fitted(mode, n_queries, algorithm="sssc", p=40, ambient=30):
     return cli.fit(cfg, dataset.data), dataset.data.values
 
 
-@pytest.mark.parametrize("mode", oos.CODING_MODES)
+@pytest.mark.parametrize("mode", cli.CODING_MODES)
 def test_assign_streams_blocks_like_one_batch(monkeypatch, mode):
     # a small block keeps the sparse case's per-query lassos few; assign
     # reads the block size at call time
     monkeypatch.setattr(oos, "QUERY_CHUNK", 16)
-    q = 2 * oos.QUERY_CHUNK + 7
-    model, values = _fitted(mode, q)
-    out = model.split.out_of_sample
-    assert out.size == q
     built = []
     build = oos.lasso_dictionary
 
@@ -710,15 +706,59 @@ def test_assign_streams_blocks_like_one_batch(monkeypatch, mode):
         return build(X)
 
     monkeypatch.setattr(oos, "lasso_dictionary", counting)
+    q = 2 * oos.QUERY_CHUNK + 7
+    model, values = _fitted(mode, q)
+    out = model.split.out_of_sample
+    assert out.size == q
+    # fit builds what the coding rule uses, once per model, not once per block
+    assert len(built) == (1 if mode == "sparse" else 0)
+    assert (model.dictionary.projector is None) == (mode == "sparse")
     streamed, seconds = cli.assign(model, values, out)
-    # the sparse dictionary is built once per model, not once per block
     assert len(built) == (1 if mode == "sparse" else 0)
     assert set(seconds) == {"coding", "classifying"}
     Xbar = values[:, out]
-    codes = oos.code_batch(model.dictionary, Xbar, mode=mode, cfg=model.lasso_cfg)
-    whole = oos.classify_codes(model.dictionary, Xbar, codes, regularized=mode == "ridge")
+    whole = oos.classify_codes(model.dictionary, Xbar, oos.code_batch(model.dictionary, Xbar))
     np.testing.assert_array_equal(streamed.labels, whole.labels)
     assert set(streamed.labels) == {0, 1}
+
+
+def _queries(model, values, extra):
+    """The model's out-of-sample points followed by ``extra`` Gaussian
+    points, which lie near no class subspace and so have small margins."""
+    rng = np.random.default_rng(0)
+    return np.hstack([values[:, model.split.out_of_sample],
+                      rng.standard_normal((values.shape[0], extra))])
+
+
+@pytest.mark.parametrize("mode", cli.CODING_MODES)
+def test_assign_gives_a_duplicated_point_its_twins_label(monkeypatch, mode):
+    monkeypatch.setattr(oos, "QUERY_CHUNK", 16)
+    model, values = _fitted(mode, 20)
+    V = _queries(model, values, 20)
+    twins = [0, 19, 20, 39]  # in-subspace and Gaussian, first and later blocks
+    V = np.hstack([V, V[:, twins]])
+    labels = cli.assign(model, V, np.arange(V.shape[1]))[0].labels
+    np.testing.assert_array_equal(labels[-len(twins):], labels[twins])
+
+
+@pytest.mark.parametrize("mode", cli.CODING_MODES)
+def test_assign_permuted_queries_get_permuted_labels(monkeypatch, mode):
+    monkeypatch.setattr(oos, "QUERY_CHUNK", 16)
+    model, values = _fitted(mode, 20)
+    V = _queries(model, values, 20)
+    columns = np.arange(V.shape[1])
+    perm = np.random.default_rng(1).permutation(columns.size)
+    labels = cli.assign(model, V, columns)[0].labels
+    np.testing.assert_array_equal(cli.assign(model, V, columns[perm])[0].labels, labels[perm])
+
+
+@pytest.mark.parametrize("scale", [2.0**-10, 2.0**10])
+def test_assign_ridge_labels_invariant_under_query_scaling(scale):
+    model, values = _fitted("ridge", 20)
+    V = _queries(model, values, 200)
+    columns = np.arange(V.shape[1])
+    labels = cli.assign(model, V, columns)[0].labels
+    np.testing.assert_array_equal(cli.assign(model, scale * V, columns)[0].labels, labels)
 
 
 def test_assign_reports_unassignable_columns_of_every_block():

@@ -16,9 +16,9 @@ def orthonormal_dictionary(m=8, p=5, seed=0, k=2):
     return Q, labels
 
 
-def code_one(dic, xbar, **kw):
+def code_one(dic, xbar):
     """The code of one query point: ``code_batch`` on a one-column batch."""
-    return code_batch(dic, np.asarray(xbar, dtype=float)[:, None], **kw)[:, 0]
+    return code_batch(dic, np.asarray(xbar, dtype=float)[:, None])[:, 0]
 
 
 def assign_all(dic, Xbar):
@@ -126,10 +126,10 @@ def test_sparse_code_stays_in_subspace():
     split = uniform_split(40, 30, seed=0)
     X = DataMatrix(ds.data.values[:, split.in_sample])
     labels = ClusterAssignment(ds.truth.labels[split.in_sample], 2)
-    dic = build_dictionary(X, labels)
     cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0, kkt_tol=1e-6)
+    dic = build_dictionary(X, labels, lasso_cfg=cfg)
     j = split.out_of_sample[0]
-    c = code_one(dic, ds.data.values[:, j], mode="sparse", cfg=cfg)
+    c = code_one(dic, ds.data.values[:, j])
     own = ds.truth.labels[j]
     off_mass = np.abs(c[labels.labels != own]).sum()
     assert off_mass <= 1e-4
@@ -137,10 +137,10 @@ def test_sparse_code_stays_in_subspace():
 
 def test_sparse_code_large_delta_gives_zero():
     Q, labels = orthonormal_dictionary()
-    dic = build_dictionary(Q, labels)
     xbar = 0.3 * Q[:, 0]
     cfg = SparseSelfRepConfig(delta=2.0 * np.linalg.norm(xbar))
-    c = code_one(dic, xbar, mode="sparse", cfg=cfg)
+    dic = build_dictionary(Q, labels, lasso_cfg=cfg)
+    c = code_one(dic, xbar)
     assert not c.any()
 
 
@@ -148,12 +148,12 @@ def test_sparse_code_matches_oracle_objective():
     rng = np.random.default_rng(5)
     X = rng.standard_normal((5, 8))
     labels = ClusterAssignment(np.arange(8) % 2, 2)
-    dic = build_dictionary(X, labels)
     xbar = rng.standard_normal(5)
     tau = 0.2 * np.max(np.abs(X.T @ xbar))
     lam = 1.0 / (2.0 * tau)
     cfg = SparseSelfRepConfig(lam=tau, delta=0.0, kkt_tol=1e-8, max_iterations=100_000)
-    c = code_one(dic, xbar, mode="sparse", cfg=cfg)
+    dic = build_dictionary(X, labels, lasso_cfg=cfg)
+    c = code_one(dic, xbar)
     f_solver = lasso_objective(X, xbar, lam, c)
     f_oracle = subgradient_lasso(X, xbar, lam, iterations=300_000)
     assert f_solver <= f_oracle + 1e-6
@@ -246,13 +246,6 @@ def test_assign_unassignable_zero_query():
         classify_codes(dic, zero, code_batch(dic, zero))
 
 
-def test_assign_rejects_unknown_mode():
-    Q, labels = orthonormal_dictionary()
-    dic = build_dictionary(Q, labels)
-    with pytest.raises(ValueError):
-        code_batch(dic, np.ones((8, 1)), mode="nearest")
-
-
 def test_assign_batch_noise_free_points_reach_true_subspace():
     ds = synth_subspaces(k=3, ambient=40, dim_per=[3, 4, 5],
                          points_per=[40, 40, 40], seed=13)
@@ -333,3 +326,33 @@ def test_code_and_classify_compose_to_assign_batch():
     codes = code_batch(dic, Xbar)
     singles = [assign(dic, Xbar[:, j]).label for j in range(Xbar.shape[1])]
     np.testing.assert_array_equal(classify_codes(dic, Xbar, codes).labels, singles)
+
+
+@pytest.mark.parametrize("regularized", [True, False])
+def test_classify_codes_matches_oracle_residual_argmin(regularized):
+    # ridge dictionaries classify by regularized residuals, sparse ones by
+    # plain residuals; random codes keep every class residual finite
+    rng = np.random.default_rng(15)
+    X = rng.standard_normal((12, 18))
+    labels = ClusterAssignment(rng.integers(0, 3, 18), 3)
+    lasso_cfg = None if regularized else SparseSelfRepConfig()
+    dic = build_dictionary(X, labels, lasso_cfg=lasso_cfg)
+    Xbar = rng.standard_normal((12, 40))
+    codes = rng.standard_normal((18, 40))
+    expected = [
+        np.argmin(class_residuals(dic, Xbar[:, j], codes[:, j], regularized))
+        for j in range(40)
+    ]
+    np.testing.assert_array_equal(classify_codes(dic, Xbar, codes).labels, expected)
+
+
+@pytest.mark.parametrize("lasso_cfg", [None, SparseSelfRepConfig()], ids=["ridge", "sparse"])
+def test_classify_codes_breaks_near_ties_by_the_exact_residual(lasso_cfg):
+    # class 1 is class 0 moved by 1e-9: with both codes 1 the query a is
+    # reconstructed exactly by class 0 only, and must go there every time
+    rng = np.random.default_rng(16)
+    labels = ClusterAssignment([0, 1], 2)
+    for _ in range(200):
+        a, e = rng.standard_normal(50), rng.standard_normal(50)
+        dic = build_dictionary(np.column_stack([a, a + 1e-9 * e]), labels, lasso_cfg=lasso_cfg)
+        assert classify_codes(dic, a[:, None], np.ones((2, 1))).labels[0] == 0

@@ -2,11 +2,13 @@
 
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
 from pathlib import Path
 
+from subclust import oos
 from subclust.cli import main
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -61,7 +63,9 @@ def test_traced_runs_record_every_pipeline_span(tmp_path):
 
 def test_traced_lasso_spans_match_the_report(tmp_path):
     # the benchmark's cross-check: one sparse_coding.solve_lasso span per
-    # in-sample column, one oos.solve_lasso span per out-of-sample point
+    # in-sample column, one oos.solve_lasso span per out-of-sample point;
+    # its oos.code_s and oos.classify_s are the code_batch and classify_codes
+    # spans, one of each per query block
     data = tmp_path / "data.csv"
     assert main([
         "synth", "--k", "2", "--ambient", "30", "--dims", "3,3",
@@ -81,3 +85,6 @@ def test_traced_lasso_spans_match_the_report(tmp_path):
     solver = json.loads(report.read_text())["solver"]
     assert names.count("sparse_coding.solve_lasso") == solver["columns"] == 30
     assert names.count("oos.solve_lasso") == 80 - 30
+    assert names.count("oos.build_dictionary") == 1
+    blocks = math.ceil((80 - 30) / oos.QUERY_CHUNK)
+    assert names.count("oos.code_batch") == names.count("oos.classify_codes") == blocks
