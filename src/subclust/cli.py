@@ -9,8 +9,10 @@ it, and ``bench`` then times ``assign`` again on the same fit. ``ssc`` and
 ``lrr`` are ``sssc`` and ``slrr`` with p = n.
 
 ``RunConfig`` is the one list of knobs: the ``cluster`` flags, the config
-file keys with their type and choice checks, and the report's
-``parameters`` are derived from its fields. For ``sssc``/``ssc`` the
+file keys with their type, choice and range checks, and the report's
+``parameters`` are derived from its fields. Each value is checked once,
+where it enters (a flag or a config-file key), under every algorithm; the
+solvers below trust the configs they are given. For ``sssc``/``ssc`` the
 --lambda flag is the l1 weight of the coding objective
 (1/2)||y - Dc||^2 + lambda ||c||_1, the same number the lasso solver takes;
 for ``slrr``/``lrr`` it balances the error term of the low-rank program.
@@ -23,6 +25,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import operator
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -50,9 +53,11 @@ class UsageError(SubclustError, ValueError):
 
 def _knob(default=MISSING, **metadata):
     """A RunConfig field. ``metadata`` may hold ``key`` (the config-file key
-    and flag name, when not the field name), ``choices``, ``minimum``,
-    ``help``, and ``role``: "identity" fields head the report, "io" fields
-    stay out of it, every other field is listed under ``parameters``."""
+    and flag name, when not the field name), ``choices``, the range bounds
+    ``minimum`` and ``maximum`` (inclusive) and ``above`` (exclusive lower
+    bound), ``help``, and ``role``: "identity" fields head the report, "io"
+    fields stay out of it, every other field is listed under
+    ``parameters``."""
     return field(default=default, metadata=metadata)
 
 
@@ -60,31 +65,32 @@ def _knob(default=MISSING, **metadata):
 class RunConfig:
     """Every knob of ``subclust cluster``, each with its default.
 
-    The ``cluster`` flags, the config-file keys, their type and choice
-    checks and the report's ``parameters`` are all derived from these
+    The ``cluster`` flags, the config-file keys, their type, choice and
+    range checks and the report's ``parameters`` are all derived from these
     fields. A field without a default must be given. ``lam`` left as None
-    takes the per-algorithm default in LAMBDA_DEFAULTS.
+    takes the per-algorithm default in LAMBDA_DEFAULTS. The one rule that
+    ties two fields, ``mu_init < mu_max``, is checked here.
     """
 
     algorithm: str = _knob(choices=ALGORITHMS, role="identity")
     k: int = _knob(role="identity")
     p: int | None = _knob(None, role="identity")
     seed: int = _knob(role="identity", minimum=0)
-    lam: float | None = _knob(None, key="lambda")
-    delta: float = 1e-3
-    gamma: float = 1e-6
+    lam: float | None = _knob(None, key="lambda", above=0)
+    delta: float = _knob(1e-3, minimum=0)
+    gamma: float = _knob(1e-6, above=0)
     error_norm: str = _knob("l21", choices=ERROR_NORMS)
     restarts: int = _knob(20, minimum=1)
-    kkt_tol: float = 1e-4
-    lasso_max_iterations: int = 20000
-    lrr_max_iterations: int = 500
-    constraint_tol: float = 1e-7
+    kkt_tol: float = _knob(1e-4, above=0)
+    lasso_max_iterations: int = _knob(20000, minimum=1)
+    lrr_max_iterations: int = _knob(500, minimum=1)
+    constraint_tol: float = _knob(1e-7, above=0)
     oos_coding: str = _knob("ridge", choices=CODING_MODES)
     row_normalize: bool = True
-    pca_energy: float | None = None
-    mu_init: float = 1e-2
-    rho: float = 1.5
-    mu_max: float = 1e10
+    pca_energy: float | None = _knob(None, above=0, maximum=1)
+    mu_init: float = _knob(1e-2, above=0)
+    rho: float = _knob(1.5, above=1)
+    mu_max: float = _knob(1e10, above=0)
     input: str | None = _knob(role="io")
     labels: str | None = _knob(None, role="io", help="optional truth sidecar for accuracy/NMI")
     output: str | None = _knob(role="io")
@@ -93,6 +99,11 @@ class RunConfig:
     def __post_init__(self):
         if self.lam is None:
             object.__setattr__(self, "lam", LAMBDA_DEFAULTS[self.algorithm])
+        if not self.mu_init < self.mu_max:
+            raise UsageError(
+                "--mu-init must be below --mu-max (config keys 'mu_init', 'mu_max'), "
+                f"got {self.mu_init!r} and {self.mu_max!r}"
+            )
 
 
 def _key(f) -> str:
@@ -106,6 +117,7 @@ def _flag(f) -> str:
 
 
 _HINTS = get_type_hints(RunConfig)
+_FIELDS = {f.name: f for f in fields(RunConfig)}
 
 
 def _kind(f) -> tuple:
@@ -117,11 +129,17 @@ def _kind(f) -> tuple:
 
 
 _KIND_NAMES = {bool: "true or false", int: "an integer", float: "a finite number", str: "a string"}
+# what a RunConfig field may declare of its valid values: (metadata key, test, wording)
+_LIMITS = (
+    ("choices", lambda value, choices: value in choices, "one of"),
+    ("minimum", operator.ge, ">="), ("above", operator.gt, ">"), ("maximum", operator.le, "<="),
+)
 
 
 def _checked(f, value, name: str):
-    """``value`` for field ``f``, checked against its type, choices and
-    minimum; ``name`` says where it came from in the error message."""
+    """``value`` for field ``f``, checked against its type, its choices and
+    its range bounds; ``name`` (the flag, or the config key) says where it
+    came from in the error message."""
     base, optional = _kind(f)
     if value is None and optional:
         return None
@@ -136,13 +154,19 @@ def _checked(f, value, name: str):
         ok = isinstance(value, base)
     if not ok:
         raise UsageError(f"{name} must be {_KIND_NAMES[base]}, got {value!r}")
-    choices = f.metadata.get("choices")
-    if choices and value not in choices:
-        raise UsageError(f"{name} must be one of {choices}, got {value!r}")
-    minimum = f.metadata.get("minimum")
-    if minimum is not None and value < minimum:
-        raise UsageError(f"{name} must be >= {minimum}, got {value!r}")
+    for key, holds, wording in _LIMITS:
+        limit = f.metadata.get(key)
+        if limit is not None and not holds(value, limit):
+            raise UsageError(f"{name} must be {wording} {limit}, got {value!r}")
     return float(value) if base is float else value
+
+
+def _output_path(path, flag: str) -> Path:
+    """``path`` as a Path; refused before any work when its directory is missing."""
+    path = Path(path)
+    if not path.parent.is_dir():
+        raise FileNotFoundError(f"{flag} {path}: {path.parent} is not a directory")
+    return path
 
 
 @dataclass
@@ -197,31 +221,24 @@ class RunReport:
 def fit(cfg: RunConfig, data: DataMatrix) -> Model:
     """Sample p columns of ``data``, cluster them and build the dictionary
     that the other n - p columns are assigned against."""
-    # solver knobs are checked before any solve, so a bad value is a
-    # one-line usage error instead of a traceback from deep inside a solver
     sparse = cfg.algorithm in ("sssc", "ssc")
-    try:
-        # under slrr/lrr --lambda weighs the LRR error term, so sparse
-        # out-of-sample coding takes the sssc default l1 weight instead
-        lasso_cfg = SparseSelfRepConfig(
-            lam=cfg.lam if sparse else LAMBDA_DEFAULTS["sssc"],
-            delta=cfg.delta,
-            max_iterations=cfg.lasso_max_iterations,
-            kkt_tol=cfg.kkt_tol,
-        )
-        lrr_cfg = None if sparse else LrrConfig(
-            lam=cfg.lam,
-            error_norm=cfg.error_norm,
-            mu_init=cfg.mu_init,
-            rho=cfg.rho,
-            mu_max=cfg.mu_max,
-            constraint_tol=cfg.constraint_tol,
-            max_iterations=cfg.lrr_max_iterations,
-        )
-    except ValueError as exc:
-        raise UsageError(f"invalid solver setting: {exc}") from None
-    if not cfg.gamma > 0:
-        raise UsageError(f"--gamma must be positive, got {cfg.gamma}")
+    # under slrr/lrr --lambda weighs the LRR error term, so sparse
+    # out-of-sample coding takes the sssc default l1 weight instead
+    lasso_cfg = SparseSelfRepConfig(
+        lam=cfg.lam if sparse else LAMBDA_DEFAULTS["sssc"],
+        delta=cfg.delta,
+        max_iterations=cfg.lasso_max_iterations,
+        kkt_tol=cfg.kkt_tol,
+    )
+    lrr_cfg = None if sparse else LrrConfig(
+        lam=cfg.lam,
+        error_norm=cfg.error_norm,
+        mu_init=cfg.mu_init,
+        rho=cfg.rho,
+        mu_max=cfg.mu_max,
+        constraint_tol=cfg.constraint_tol,
+        max_iterations=cfg.lrr_max_iterations,
+    )
     n = data.n
     if n < 2:  # self-representation needs two in-sample points
         raise DataFormatError(f"clustering needs at least 2 samples, got {n}")
@@ -344,8 +361,6 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
     if not np.isfinite(sum_sq):
         raise DataFormatError("the sum of squares of the data overflows; rescale the data")
     if cfg.pca_energy is not None:
-        if not 0.0 < cfg.pca_energy <= 1.0:
-            raise UsageError(f"--pca-energy must lie in (0, 1], got {cfg.pca_energy}")
         data = dataio.pca_retain_energy(data, cfg.pca_energy)
     t0 = time.perf_counter()
     model = fit(cfg, data)
@@ -376,22 +391,28 @@ def _write_labels(path: Path, labels: np.ndarray) -> None:
         fh.write("".join(f"{value}\n" for value in labels.tolist()))
 
 
+def _int_list(text: str, flag: str) -> list:
+    try:
+        return [int(x) for x in text.split(",")]
+    except ValueError:
+        raise UsageError(f"{flag} must be a comma list of integers, got {text!r}") from None
+
+
 def cmd_synth(args) -> int:
+    dims, points = _int_list(args.dims, "--dims"), _int_list(args.points, "--points")
+    seed = _checked(_FIELDS["seed"], args.seed, "--seed")  # cluster's --seed rule
+    out = _output_path(args.out, "--out")
+    labels_path = _output_path(args.labels_out or out.with_suffix(".labels"), "--labels-out")
     try:
         dataset = dataio.synth_subspaces(
-            k=args.k, ambient=args.ambient,
-            dim_per=[int(x) for x in args.dims.split(",")],
-            points_per=[int(x) for x in args.points.split(",")],
-            noise_sigma=args.noise_sigma, corrupt_frac=args.corrupt_frac,
-            seed=args.seed,
+            k=args.k, ambient=args.ambient, dim_per=dims, points_per=points,
+            noise_sigma=args.noise_sigma, corrupt_frac=args.corrupt_frac, seed=seed,
         )
     except ValueError as exc:  # a flag value the generator rejects
         raise UsageError(str(exc)) from None
-    out = Path(args.out)
     np.savetxt(out, dataset.data.values.T, fmt="%.17g", delimiter=",")
     labels = dataset.truth.labels.copy()
     labels[dataset.corrupted] = -1  # corrupted columns are marked -1
-    labels_path = Path(args.labels_out) if args.labels_out else out.with_suffix(".labels")
     _write_labels(labels_path, labels)
     print(f"wrote {dataset.data.n} samples to {out} and labels to {labels_path}")
     return 0
@@ -409,13 +430,13 @@ def _merge_config(args) -> RunConfig:
             raise DataFormatError(f"config file is not valid JSON: {exc}") from exc
         if not isinstance(file_cfg, dict):
             raise DataFormatError("config file must hold a JSON object")
-        by_key = {_key(f): f for f in fields(RunConfig)}
+        by_key = {_key(f): f for f in _FIELDS.values()}
         unknown = set(file_cfg) - set(by_key)
         if unknown:
             raise UsageError(f"unknown config file keys: {sorted(unknown)}")
         for key, value in file_cfg.items():
             values[by_key[key].name] = _checked(by_key[key], value, f"config key {key!r}")
-    for f in fields(RunConfig):
+    for f in _FIELDS.values():
         flag = getattr(args, f.name)
         if flag is not None:
             values[f.name] = _checked(f, flag, _flag(f))
@@ -426,9 +447,7 @@ def _merge_config(args) -> RunConfig:
 
 def cmd_cluster(args) -> int:
     cfg = _merge_config(args)
-    out = Path(cfg.output)
-    if not out.parent.is_dir():  # fail before the run, not after it
-        raise FileNotFoundError(f"--output {out}: {out.parent} is not a directory")
+    out = _output_path(cfg.output, "--output")
     data = dataio.load_csv(cfg.input, has_header=cfg.has_header)
     truth = None
     if cfg.labels:
@@ -474,9 +493,13 @@ def cmd_bench(args) -> int:
     if args.repeats < 1:
         raise UsageError(f"--repeats must be >= 1, got {args.repeats}")
     cfg = RunConfig(
-        algorithm=args.algorithm, k=args.k, p=args.p, seed=args.seed, lam=args.lam,
+        algorithm=args.algorithm, k=args.k, p=args.p,
+        seed=_checked(_FIELDS["seed"], args.seed, "--seed"),
+        lam=_checked(_FIELDS["lam"], args.lam, "--lambda"),
         input=None, output=None,
     )
+    if args.output:
+        _output_path(args.output, "--output")
     runs = []
     for n in sorted(set(args.n)):
         points = [n // args.k] * args.k

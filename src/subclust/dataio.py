@@ -24,7 +24,6 @@ class SampleSplit:
 
     in_sample: np.ndarray
     out_of_sample: np.ndarray
-    seed: int
 
     def __post_init__(self):
         ins = np.asarray(self.in_sample, dtype=int)
@@ -34,10 +33,6 @@ class SampleSplit:
             raise ValueError("index sets must be disjoint and cover 0..n-1")
         object.__setattr__(self, "in_sample", ins)
         object.__setattr__(self, "out_of_sample", out)
-
-    @property
-    def n(self) -> int:
-        return self.in_sample.size + self.out_of_sample.size
 
     @property
     def p(self) -> int:
@@ -181,8 +176,6 @@ def pca_retain_energy(Y: DataMatrix, energy: float) -> DataMatrix:
     shape (d, n) with d the smallest count whose cumulative squared singular
     values reach energy * total.
     """
-    if not (0.0 < energy <= 1.0):
-        raise ValueError(f"energy must lie in (0, 1], got {energy}")
     centered = Y.values - Y.values.mean(axis=1, keepdims=True)
     U, s, _ = np.linalg.svd(centered, full_matrices=False)
     power = s * s
@@ -199,12 +192,10 @@ def pca_retain_energy(Y: DataMatrix, energy: float) -> DataMatrix:
 
 def uniform_split(n: int, p: int, seed: int) -> SampleSplit:
     """Draw p of n indices uniformly without replacement; deterministic in seed."""
-    if n < 1:
-        raise ValueError(f"n must be >= 1, got {n}")
     if p < 1 or p > n:
         raise ValueError(f"p must satisfy 1 <= p <= n, got p={p}, n={n}")
     perm = np.random.default_rng(seed).permutation(n)
-    return SampleSplit(np.sort(perm[:p]), np.sort(perm[p:]), seed)
+    return SampleSplit(np.sort(perm[:p]), np.sort(perm[p:]))
 
 
 def synth_subspaces(

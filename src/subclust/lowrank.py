@@ -40,22 +40,6 @@ class LrrConfig:
     constraint_tol: float = 1e-7
     max_iterations: int = 500
 
-    def __post_init__(self):
-        if self.lam <= 0:
-            raise ValueError(f"lam must be positive, got {self.lam}")
-        if self.error_norm not in ERROR_NORMS:
-            raise ValueError(
-                f"error_norm must be one of {ERROR_NORMS}, got {self.error_norm!r}"
-            )
-        if self.rho <= 1:
-            raise ValueError(f"rho must exceed 1, got {self.rho}")
-        if not (0 < self.mu_init < self.mu_max):
-            raise ValueError("mu_init must satisfy 0 < mu_init < mu_max")
-        if self.constraint_tol <= 0:
-            raise ValueError("constraint_tol must be positive")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-
 
 @dataclass(frozen=True)
 class LrrSolution:
@@ -109,7 +93,7 @@ def _error_value(E: np.ndarray, norm: str) -> float:
     return float((E * E).sum())
 
 
-def solve_lrr(Y, cfg: LrrConfig | None = None) -> LrrSolution:
+def solve_lrr(Y, cfg: LrrConfig) -> LrrSolution:
     """Inexact-ALM solve of min ||C||_* + lam*||E||_err s.t. Y = YC + E.
 
     The iteration runs over A = YQ, Q the leading r right singular vectors
@@ -127,8 +111,6 @@ def solve_lrr(Y, cfg: LrrConfig | None = None) -> LrrSolution:
     Y = Y if isinstance(Y, DataMatrix) else DataMatrix(np.asarray(Y, dtype=float))
     if Y.n < 2:
         raise ValueError("low-rank representation needs at least 2 samples")
-    if cfg is None:
-        cfg = LrrConfig()
 
     V = Y.values
     m, n = V.shape

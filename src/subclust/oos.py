@@ -59,8 +59,6 @@ def build_dictionary(
     """The class dictionary of ridge coding (the projector, from X's thin
     SVD) or, when ``lasso_cfg`` is given, of sparse coding under it."""
     X = X if isinstance(X, DataMatrix) else DataMatrix(np.asarray(X, dtype=float))
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
     if labels.n != X.n:
         raise ValueError(f"{labels.n} labels for {X.n} dictionary columns")
     class_indices = tuple(np.flatnonzero(labels.labels == j) for j in range(labels.k))

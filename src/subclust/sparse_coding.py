@@ -58,16 +58,6 @@ class SparseSelfRepConfig:
     max_iterations: int = 20000
     kkt_tol: float = 1e-4
 
-    def __post_init__(self):
-        if not 0 < self.lam < np.inf:
-            raise ValueError(f"lam must be positive and finite, got {self.lam}")
-        if self.delta < 0:
-            raise ValueError(f"delta must be nonnegative, got {self.delta}")
-        if self.max_iterations < 1:
-            raise ValueError("max_iterations must be >= 1")
-        if self.kkt_tol <= 0:
-            raise ValueError("kkt_tol must be positive")
-
 
 @dataclass(frozen=True)
 class SparseCode:
@@ -131,8 +121,7 @@ def kkt_violation(correlations: np.ndarray, c: np.ndarray, tau: float) -> float:
 
 
 def solve_lasso(
-    prep: LassoDictionary, y, cfg: SparseSelfRepConfig | None = None,
-    exclude: int | None = None,
+    prep: LassoDictionary, y, cfg: SparseSelfRepConfig, exclude: int | None = None,
 ) -> SparseCode:
     """Minimize (1/2)||y - D c||_2^2 + cfg.lam ||c||_1 by accelerated proximal descent.
 
@@ -141,7 +130,7 @@ def solve_lasso(
     prep : the dictionary D with its Gram matrix and step bound, from
         ``lasso_dictionary``
     y : (m,) target vector
-    cfg : the l1 weight and the stopping parameters (defaults when None)
+    cfg : the l1 weight and the stopping parameters
     exclude : column index whose coefficient is held at exactly zero; the
         result is the solution over D with that column zeroed
 
@@ -158,8 +147,6 @@ def solve_lasso(
         raise ValueError(f"dictionary has {m} rows but y has length {y.size}")
     if exclude is not None and not 0 <= exclude < p:
         raise ValueError(f"exclude must lie in [0, {p}), got {exclude}")
-    if cfg is None:
-        cfg = SparseSelfRepConfig()
 
     tau = cfg.lam
 
@@ -252,7 +239,7 @@ def solve_lasso(
     return finish(state[k, 0], it, converged)
 
 
-def sparse_self_representation(Y, cfg: SparseSelfRepConfig | None = None):
+def sparse_self_representation(Y, cfg: SparseSelfRepConfig):
     """Code every column of Y over the others; the diagonal is exactly zero.
 
     Column i is the solution of the l1 problem with dictionary Y_i, which is
@@ -270,18 +257,13 @@ def sparse_self_representation(Y, cfg: SparseSelfRepConfig | None = None):
     Y = Y if isinstance(Y, DataMatrix) else DataMatrix(np.asarray(Y, dtype=float))
     if Y.n < 2:
         raise ValueError("self-representation needs at least 2 samples")
-    if cfg is None:
-        cfg = SparseSelfRepConfig()
 
     n = Y.n
     C = np.zeros((n, n))
     reports = []
     prep = lasso_dictionary(Y)
     for i in range(n):
-        try:
-            code = solve_lasso(prep, prep.D[:, i], cfg, exclude=i)
-        except ValueError as exc:
-            raise ValueError(f"column {i}: {exc}") from exc
+        code = solve_lasso(prep, prep.D[:, i], cfg, exclude=i)
         C[:, i] = code.coefficients
         reports.append(code.report)
     return C, reports

@@ -18,6 +18,11 @@ from .types import ClusterAssignment
 # above this size the eigensolver switches to a Lanczos iteration
 DENSE_EIG_LIMIT = 4000
 
+# Lloyd iterations stop at this cap, or once an iteration lowers the k-means
+# objective by no more than this fraction of it
+KMEANS_MAX_ITERATIONS = 300
+KMEANS_REL_TOL = 1e-9
+
 
 @dataclass(frozen=True)
 class AffinityMatrix:
@@ -34,10 +39,6 @@ class AffinityMatrix:
         if v.size and v.min() < 0:
             raise ValueError("affinity entries must be nonnegative")
         object.__setattr__(self, "values", v)
-
-    @property
-    def n(self) -> int:
-        return self.values.shape[0]
 
 
 @dataclass(frozen=True)
@@ -134,11 +135,11 @@ def _kmeans_pp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> 
     return centers
 
 
-def _lloyd(points: np.ndarray, centers: np.ndarray, max_iterations: int, rel_tol: float):
+def _lloyd(points: np.ndarray, centers: np.ndarray):
     k = centers.shape[0]
     prev_obj = np.inf
     labels = np.zeros(points.shape[0], dtype=int)
-    for _ in range(max_iterations):
+    for _ in range(KMEANS_MAX_ITERATIONS):
         d2 = ((points[:, None, :] - centers[None, :, :]) ** 2).sum(axis=2)
         labels = np.argmin(d2, axis=1)
         mind2 = d2[np.arange(points.shape[0]), labels]
@@ -152,21 +153,14 @@ def _lloyd(points: np.ndarray, centers: np.ndarray, max_iterations: int, rel_tol
         for c in range(k):
             centers[c] = points[labels == c].mean(axis=0)
         obj = float(((points - centers[labels]) ** 2).sum())
-        if prev_obj - obj <= rel_tol * max(obj, 1e-300):
+        if prev_obj - obj <= KMEANS_REL_TOL * max(obj, 1e-300):
             prev_obj = obj
             break
         prev_obj = obj
     return labels, centers, prev_obj
 
 
-def kmeans(
-    points: np.ndarray,
-    k: int,
-    restarts: int = 20,
-    seed: int = 0,
-    max_iterations: int = 300,
-    rel_tol: float = 1e-9,
-) -> ClusterAssignment:
+def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> ClusterAssignment:
     """Best-of-``restarts`` Lloyd iterations from k-means++ seeding.
 
     Each restart draws from its own generator seeded by (seed, restart), so
@@ -179,15 +173,13 @@ def kmeans(
     n = points.shape[0]
     if not 1 <= k <= n:
         raise ValueError(f"need n >= k >= 1, got n={n}, k={k}")
-    if restarts < 1:
-        raise ValueError("restarts must be >= 1")
 
     best_labels = None
     best_obj = np.inf
     for r in range(restarts):
         rng = np.random.default_rng([seed, r])
         centers = _kmeans_pp_centers(points, k, rng)
-        labels, _, obj = _lloyd(points, centers, max_iterations, rel_tol)
+        labels, _, obj = _lloyd(points, centers)
         if obj < best_obj:
             best_obj = obj
             best_labels = labels

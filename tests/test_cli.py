@@ -14,9 +14,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from subclust import cli, dataio, oos
+from subclust import cli, dataio, metrics, oos
 from subclust.cli import RunConfig, build_parser, main, run_pipeline
 from subclust.errors import UnassignableSampleError
+from subclust.types import ClusterAssignment
 
 
 def run_cli(*argv):
@@ -65,25 +66,29 @@ BENCH_FLAGS = ["--n", "100", "--p", "20", "--ambient", "30"]
 
 
 @pytest.mark.parametrize(
-    "command, flags",
+    "command, flags, named",
     [
-        ("synth", ["--dims", "a,b"]),
-        ("synth", ["--ambient", "5", "--dims", "4,4"]),
-        ("synth", ["--k", "3", "--dims", "2,2"]),
-        ("synth", ["--noise-sigma", "nan"]),
-        ("synth", ["--noise-sigma", "inf"]),
-        ("bench", ["--k", "0"]),
-        ("bench", ["--ambient", "8", "--k", "4", "--dim", "3"]),
-        ("bench", ["--n", "10", "--p", "4", "--k", "4", "--dim", "5"]),
-        ("bench", ["--repeats", "0"]),
+        ("synth", ["--dims", "a,b"], "--dims"),
+        ("synth", ["--ambient", "5", "--dims", "4,4"], None),
+        ("synth", ["--k", "3", "--dims", "2,2"], None),
+        ("synth", ["--noise-sigma", "nan"], None),
+        ("synth", ["--noise-sigma", "inf"], None),
+        ("synth", ["--seed", "-1"], "--seed"),
+        ("synth", ["--dims", ",2"], "--dims"),
+        ("bench", ["--k", "0"], "--k"),
+        ("bench", ["--ambient", "8", "--k", "4", "--dim", "3"], None),
+        ("bench", ["--n", "10", "--p", "4", "--k", "4", "--dim", "5"], None),
+        ("bench", ["--repeats", "0"], "--repeats"),
+        ("bench", ["--seed", "-1"], "--seed"),
     ],
     ids=[
         "synth-dims-not-integers", "synth-dims-above-ambient", "synth-dims-not-k",
-        "synth-noise-nan", "synth-noise-inf",
+        "synth-noise-nan", "synth-noise-inf", "synth-seed-negative", "synth-dims-empty-entry",
         "bench-k-0", "bench-dims-above-ambient", "bench-points-below-dim", "bench-repeats-0",
+        "bench-seed-negative",
     ],
 )
-def test_synth_and_bench_bad_flags_are_usage_errors(tmp_path, capsys, command, flags):
+def test_synth_and_bench_bad_flags_are_usage_errors(tmp_path, capsys, command, flags, named):
     # later flags win, so ``flags`` overrides the valid defaults before it
     defaults = {"synth": SYNTH_FLAGS + ["--out", str(tmp_path / "d.csv")], "bench": BENCH_FLAGS}
     rc = run_cli(command, *defaults[command], *flags)
@@ -91,6 +96,23 @@ def test_synth_and_bench_bad_flags_are_usage_errors(tmp_path, capsys, command, f
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith("subclust: error:")
+    if named:
+        assert named in err
+    assert list(tmp_path.iterdir()) == []
+
+
+@pytest.mark.parametrize("flag", ["--out", "--labels-out"])
+def test_synth_output_in_missing_directory_fails_before_writing(tmp_path, capsys, flag):
+    paths = {"--out": tmp_path / "d.csv", "--labels-out": tmp_path / "d.labels"}
+    paths[flag] = tmp_path / "missing" / paths[flag].name
+    rc = run_cli(
+        "synth", *SYNTH_FLAGS, *(x for k, v in paths.items() for x in (k, str(v))),
+    )
+    assert rc == 2
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"subclust: data error: {flag}") and "missing" in err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_synth_marks_corrupted_with_minus_one(tmp_path):
@@ -357,6 +379,48 @@ def test_sssc_labels_invariant_under_data_scaling(tmp_path, dims):
     assert labels[1:] == labels[:1] * 3
 
 
+def _cluster_labels(path, values, algorithm):
+    """Write ``values`` (samples as columns) to ``path`` as a CSV and return
+    the labels ``cluster`` gives it, k = 3, p = 60, seed 0."""
+    np.savetxt(path, values.T, fmt="%.17g", delimiter=",")
+    out = path.with_suffix(".json")
+    rc = run_cli(
+        "cluster", "--algorithm", algorithm, "--input", str(path), "--k", "3",
+        "--p", "60", "--seed", "0", "--output", str(out),
+    )
+    assert rc == 0
+    return np.loadtxt(out.with_suffix(".labels"), dtype=int)
+
+
+PERMUTATION_DATA = dict(k=3, ambient=30, dim_per=[3, 3, 3], points_per=[60, 60, 60], seed=2)
+
+
+@pytest.mark.parametrize("algorithm", ["sssc", "slrr"])
+def test_permuting_out_of_sample_rows_permutes_their_labels(tmp_path, algorithm):
+    # the in-sample rows keep their places, so the fitted model is the same
+    # and each out-of-sample row keeps its label wherever it moves
+    values = dataio.synth_subspaces(**PERMUTATION_DATA).data.values
+    n = values.shape[1]
+    out = dataio.uniform_split(n, 60, 0).out_of_sample
+    perm = np.arange(n)
+    perm[out] = np.random.default_rng(7).permutation(out)
+    labels = _cluster_labels(tmp_path / "a.csv", values, algorithm)
+    permuted = _cluster_labels(tmp_path / "b.csv", values[:, perm], algorithm)
+    assert not np.array_equal(perm, np.arange(n))
+    np.testing.assert_array_equal(permuted, labels[perm])
+
+
+@pytest.mark.parametrize("algorithm", ["ssc", "lrr"])
+def test_permuting_all_rows_permutes_labels_up_to_relabelling(tmp_path, algorithm):
+    # k-means++ draws row indices, so the cluster ids may differ
+    values = dataio.synth_subspaces(**PERMUTATION_DATA).data.values
+    perm = np.random.default_rng(7).permutation(values.shape[1])
+    labels = _cluster_labels(tmp_path / "a.csv", values, algorithm)
+    permuted = _cluster_labels(tmp_path / "b.csv", values[:, perm], algorithm)
+    score = metrics.accuracy(ClusterAssignment(permuted, 3), ClusterAssignment(labels[perm], 3))
+    assert score == 1.0
+
+
 @pytest.mark.parametrize("which", ["input", "labels", "config"])
 def test_non_utf8_file_is_data_error(tmp_path, synth_files, capsys, which):
     data, labels = synth_files
@@ -556,6 +620,86 @@ def test_cluster_bad_config_value_is_usage_error(tmp_path, synth_files, capsys, 
     assert not out.exists()
 
 
+BOUND_WORDING = {"minimum": ">=", "above": ">", "maximum": "<="}
+# one value on the wrong side of every range bound that RunConfig declares
+OUT_OF_RANGE = [
+    ("seed", "minimum", -1),
+    ("lam", "above", 0.0),
+    ("delta", "minimum", -1e-3),
+    ("gamma", "above", 0.0),
+    ("restarts", "minimum", 0),
+    ("kkt_tol", "above", 0.0),
+    ("lasso_max_iterations", "minimum", 0),
+    ("lrr_max_iterations", "minimum", 0),
+    ("constraint_tol", "above", 0.0),
+    ("pca_energy", "above", 0.0),
+    ("pca_energy", "maximum", 1.5),
+    ("mu_init", "above", 0.0),
+    ("rho", "above", 1.0),
+    ("mu_max", "above", 0.0),
+]
+
+
+def test_out_of_range_cases_cover_every_declared_bound():
+    declared = {
+        (f.name, bound)
+        for f in dataclasses.fields(RunConfig) for bound in BOUND_WORDING if bound in f.metadata
+    }
+    assert declared == {(name, bound) for name, bound, _ in OUT_OF_RANGE}
+
+
+@pytest.fixture(scope="module")
+def range_data(tmp_path_factory):
+    data = tmp_path_factory.mktemp("range") / "data.csv"
+    rc = run_cli(
+        "synth", "--k", "2", "--ambient", "20", "--dims", "3,3",
+        "--points", "15,15", "--seed", "3", "--out", str(data),
+    )
+    assert rc == 0
+    return data
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+@pytest.mark.parametrize("algorithm", cli.ALGORITHMS)
+@pytest.mark.parametrize(
+    "name, bound, value",
+    OUT_OF_RANGE + [("mu_init", "mu_max", 1e11)],
+    ids=[f"{name}-{bound}" for name, bound, _ in OUT_OF_RANGE] + ["mu_init-mu_max"],
+)
+def test_cluster_value_outside_its_range_is_usage_error(
+    tmp_path, range_data, capsys, algorithm, source, name, bound, value
+):
+    # every bound holds under every algorithm, whether the value comes from
+    # a flag or from the config file; the one rule over two fields is
+    # mu_init < mu_max (1e10 by default)
+    f = next(f for f in dataclasses.fields(RunConfig) if f.name == name)
+    key = _key(f)
+    given = {"algorithm": algorithm, "k": "2", "p": "20", "seed": "0"}
+    out = tmp_path / "x.json"
+    argv = ["--input", str(range_data), "--output", str(out)]
+    if source == "flag":
+        given[key] = str(value)
+        where = "--" + key.replace("_", "-")
+    else:
+        given.pop(key, None)
+        cfg_path = tmp_path / "cfg.json"
+        cfg_path.write_text(json.dumps({key: value}))
+        argv += ["--config", str(cfg_path)]
+        where = repr(key)
+    argv += [x for k, v in given.items() for x in ("--" + k.replace("_", "-"), v)]
+    rc = run_cli("cluster", *argv)
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("subclust: error:")
+    assert where in err
+    if bound in BOUND_WORDING:
+        assert f"must be {BOUND_WORDING[bound]} {f.metadata[bound]}, got" in err
+    else:
+        assert "--mu-init must be below --mu-max" in err
+    assert not out.exists() and not out.with_suffix(".labels").exists()
+
+
 IO_FIELDS = {"input", "labels", "output", "has_header"}
 IDENTITY_FIELDS = {"algorithm", "k", "p", "seed"}
 # a valid, non-default value for every RunConfig field outside I/O
@@ -577,6 +721,13 @@ def test_every_knob_has_one_flag_one_config_key_and_a_report_entry(tmp_path, syn
     knobs = [f for f in dataclasses.fields(RunConfig) if f.name not in IO_FIELDS]
     assert {f.name for f in knobs} == set(NON_DEFAULT)
     assert all(NON_DEFAULT[f.name] != f.default for f in knobs)
+    # every numeric knob states its range, except k and p, whose ranges
+    # depend on the data
+    for f in knobs:
+        hint = typing.get_type_hints(RunConfig)[f.name]
+        numeric = {int, float} & {hint, *typing.get_args(hint)}
+        if numeric and f.name not in ("k", "p"):
+            assert set(BOUND_WORDING) & set(f.metadata), f.name
 
     cluster = build_parser()._subparsers._group_actions[0].choices["cluster"]
     for f in knobs:
@@ -854,6 +1005,24 @@ def test_bench_single_n_has_no_slope(tmp_path, capsys):
     result = json.loads(out.read_text())
     assert len(result["runs"]) == 1
     assert result["classification_slope"] is None
+
+
+def test_bench_output_in_missing_directory_fails_before_the_run(tmp_path, capsys, monkeypatch):
+    def never(*args, **kwargs):
+        raise AssertionError("ran after a bad --output")
+
+    monkeypatch.setattr(cli, "run_pipeline", never)
+    out = tmp_path / "missing" / "b.json"
+    rc = run_cli(
+        "bench", "--n", "100", "200", "--p", "20", "--ambient", "30", "--repeats", "1",
+        "--output", str(out),
+    )
+    assert rc == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.count("\n") == 1
+    assert captured.err.startswith("subclust: data error: --output") and "missing" in captured.err
+    assert list(tmp_path.iterdir()) == []
 
 
 def test_bench_rejects_p_above_smallest_n(tmp_path):

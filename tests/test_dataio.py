@@ -160,13 +160,6 @@ def test_pca_energy_fraction_matches_spectrum():
     assert power[: d - 1].sum() / power.sum() < 0.9
 
 
-@pytest.mark.parametrize("energy", [0.0, -0.1, 1.5])
-def test_pca_rejects_bad_energy(energy):
-    Y = DataMatrix(np.eye(3))
-    with pytest.raises(ValueError):
-        pca_retain_energy(Y, energy)
-
-
 # --- uniform_split ----------------------------------------------------------
 
 
@@ -285,7 +278,7 @@ def test_labeled_dataset_validates_lengths():
 
 def test_sample_split_validates_partition():
     with pytest.raises(ValueError):
-        SampleSplit(np.array([0, 1]), np.array([1, 2]), seed=0)
+        SampleSplit(np.array([0, 1]), np.array([1, 2]))
 
 
 def test_data_matrix_rejects_non_finite():

@@ -57,8 +57,6 @@ def test_projector_satisfies_normal_equations():
 
 def test_build_dictionary_validates():
     with pytest.raises(ValueError):
-        build_dictionary(np.ones((3, 2)), ClusterAssignment([0, 1], 2), gamma=0.0)
-    with pytest.raises(ValueError):
         build_dictionary(np.ones((3, 2)), ClusterAssignment([0], 1), gamma=1.0)
 
 

@@ -141,7 +141,7 @@ def test_zero_target_returns_zero_code():
     D = np.random.default_rng(0).standard_normal((4, 6))
     # with delta = 0 only the null-code threshold sees y = 0 or D = 0
     cases = [
-        (D, np.zeros(4), None),
+        (D, np.zeros(4), SparseSelfRepConfig()),
         (D, np.zeros(4), strict_cfg(0.1)),
         (np.zeros((4, 6)), np.ones(4), strict_cfg(0.1)),
     ]
@@ -154,7 +154,7 @@ def test_zero_target_returns_zero_code():
 
 def test_dimension_mismatch_rejected():
     with pytest.raises(ValueError):
-        solve_lasso(lasso_dictionary(np.ones((3, 2))), np.ones(4))
+        solve_lasso(lasso_dictionary(np.ones((3, 2))), np.ones(4), SparseSelfRepConfig())
 
 
 def test_non_convergence_returns_best_iterate():
@@ -225,15 +225,6 @@ def test_kkt_violation_matches_masked_form():
             corr = rng.standard_normal(8)
             tau = rng.uniform(0.1, 2.0)
             assert kkt_violation(corr, c, tau) == masked_kkt_violation(corr, c, tau)
-
-
-def test_config_validation():
-    with pytest.raises(ValueError):
-        SparseSelfRepConfig(lam=0.0)
-    with pytest.raises(ValueError):
-        SparseSelfRepConfig(delta=-1.0)
-    with pytest.raises(ValueError):
-        SparseSelfRepConfig(kkt_tol=0.0)
 
 
 # --- sparse_self_representation ----------------------------------------------
@@ -308,4 +299,4 @@ def test_reports_returned_per_column():
 
 def test_single_column_rejected():
     with pytest.raises(ValueError):
-        sparse_self_representation(np.ones((3, 1)))
+        sparse_self_representation(np.ones((3, 1)), SparseSelfRepConfig())
