@@ -8,14 +8,14 @@ codes points over it and labels each by its minimal class residual.
 it, and ``bench`` then times ``assign`` again on the same fit. ``ssc`` and
 ``lrr`` are ``sssc`` and ``slrr`` with p = n.
 
-``RunConfig`` is the one list of knobs: the ``cluster`` flags, the config
-file keys with their type, choice and range checks, and the report's
-``parameters`` are derived from its fields. Each value is checked once,
-where it enters (a flag or a config-file key), under every algorithm; the
-solvers below trust the configs they are given. For ``sssc``/``ssc`` the
---lambda flag is the l1 weight of the coding objective
-(1/2)||y - Dc||^2 + lambda ||c||_1, the same number the lasso solver takes;
-for ``slrr``/``lrr`` it balances the error term of the low-rank program.
+``RunConfig`` is the one list of knobs: the method's parameters and the
+iteration caps. The ``cluster`` flags, the config-file keys with their
+checks and the report's ``parameters`` are derived from its fields; the
+solver schedules (the LRR penalty schedule and tolerance, the lasso KKT
+tolerance, the k-means restarts) are fixed in their modules. Each value
+is checked once, where it enters, under every algorithm. For ``sssc``/``ssc``
+--lambda is the l1 weight of (1/2)||y - Dc||^2 + lambda ||c||_1, the number
+the lasso solver takes; for ``slrr``/``lrr`` it weighs the LRR error term.
 Exit codes: 0 success, 1 usage error, 2 data error, 3 solver
 non-convergence (report still written).
 """
@@ -44,7 +44,8 @@ ALGORITHMS = ("sssc", "slrr", "ssc", "lrr")
 # out-of-sample coding modes, in the order the command line lists them
 CODING_MODES = ("ridge", "sparse")
 # --lambda defaults depend on the algorithm (sparse weight vs. LRR balance)
-LAMBDA_DEFAULTS = {"sssc": 1e-5, "ssc": 1e-5, "slrr": 1.0, "lrr": 1.0}
+LAMBDA_DEFAULTS = {"sssc": SparseSelfRepConfig.lam, "ssc": SparseSelfRepConfig.lam,
+                   "slrr": LrrConfig.lam, "lrr": LrrConfig.lam}
 
 
 class UsageError(SubclustError, ValueError):
@@ -68,8 +69,8 @@ class RunConfig:
     The ``cluster`` flags, the config-file keys, their type, choice and
     range checks and the report's ``parameters`` are all derived from these
     fields. A field without a default must be given. ``lam`` left as None
-    takes the per-algorithm default in LAMBDA_DEFAULTS. The one rule that
-    ties two fields, ``mu_init < mu_max``, is checked here.
+    takes the per-algorithm default in LAMBDA_DEFAULTS; the other solver
+    defaults are read from SparseSelfRepConfig and LrrConfig.
     """
 
     algorithm: str = _knob(choices=ALGORITHMS, role="identity")
@@ -77,20 +78,13 @@ class RunConfig:
     p: int | None = _knob(None, role="identity")
     seed: int = _knob(role="identity", minimum=0)
     lam: float | None = _knob(None, key="lambda", above=0)
-    delta: float = _knob(1e-3, minimum=0)
+    delta: float = _knob(SparseSelfRepConfig.delta, minimum=0)
     gamma: float = _knob(1e-6, above=0)
-    error_norm: str = _knob("l21", choices=ERROR_NORMS)
-    restarts: int = _knob(20, minimum=1)
-    kkt_tol: float = _knob(1e-4, above=0)
-    lasso_max_iterations: int = _knob(20000, minimum=1)
-    lrr_max_iterations: int = _knob(500, minimum=1)
-    constraint_tol: float = _knob(1e-7, above=0)
+    error_norm: str = _knob(LrrConfig.error_norm, choices=ERROR_NORMS)
+    lasso_max_iterations: int = _knob(SparseSelfRepConfig.max_iterations, minimum=1)
+    lrr_max_iterations: int = _knob(LrrConfig.max_iterations, minimum=1)
     oos_coding: str = _knob("ridge", choices=CODING_MODES)
-    row_normalize: bool = True
     pca_energy: float | None = _knob(None, above=0, maximum=1)
-    mu_init: float = _knob(1e-2, above=0)
-    rho: float = _knob(1.5, above=1)
-    mu_max: float = _knob(1e10, above=0)
     input: str | None = _knob(role="io")
     labels: str | None = _knob(None, role="io", help="optional truth sidecar for accuracy/NMI")
     output: str | None = _knob(role="io")
@@ -99,11 +93,6 @@ class RunConfig:
     def __post_init__(self):
         if self.lam is None:
             object.__setattr__(self, "lam", LAMBDA_DEFAULTS[self.algorithm])
-        if not self.mu_init < self.mu_max:
-            raise UsageError(
-                "--mu-init must be below --mu-max (config keys 'mu_init', 'mu_max'), "
-                f"got {self.mu_init!r} and {self.mu_max!r}"
-            )
 
 
 def _key(f) -> str:
@@ -228,16 +217,6 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
         lam=cfg.lam if sparse else LAMBDA_DEFAULTS["sssc"],
         delta=cfg.delta,
         max_iterations=cfg.lasso_max_iterations,
-        kkt_tol=cfg.kkt_tol,
-    )
-    lrr_cfg = None if sparse else LrrConfig(
-        lam=cfg.lam,
-        error_norm=cfg.error_norm,
-        mu_init=cfg.mu_init,
-        rho=cfg.rho,
-        mu_max=cfg.mu_max,
-        constraint_tol=cfg.constraint_tol,
-        max_iterations=cfg.lrr_max_iterations,
     )
     n = data.n
     if n < 2:  # self-representation needs two in-sample points
@@ -270,6 +249,9 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
         }
         converged = n_conv == len(reports)
     else:
+        lrr_cfg = LrrConfig(
+            lam=cfg.lam, error_norm=cfg.error_norm, max_iterations=cfg.lrr_max_iterations,
+        )
         solution = solve_lrr(X, lrr_cfg)
         C = solution.C
         solver = {
@@ -279,10 +261,7 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
             "residual": solution.report.residual_norm,
         }
         converged = solution.report.converged
-    labels = spectral.spectral_cluster(
-        C, cfg.k, restarts=cfg.restarts, seed=cfg.seed,
-        row_normalize=cfg.row_normalize,
-    ).labels
+    labels = spectral.spectral_cluster(C, cfg.k, cfg.seed).labels
     keep = np.arange(p)
     excluded: list = []
     if not sparse and split.out_of_sample.size:
@@ -398,18 +377,30 @@ def _int_list(text: str, flag: str) -> list:
         raise UsageError(f"{flag} must be a comma list of integers, got {text!r}") from None
 
 
+def _check_shape(ambient: int, dims: list, points: list, dim_flag: str, point_flag: str) -> None:
+    """Refuse, naming the flags, the shapes ``dataio.synth_subspaces`` rejects."""
+    if min(dims) < 1 or sum(dims) > ambient:
+        raise UsageError(f"{dim_flag} must be >= 1 and sum to <= --ambient {ambient}, got {dims}")
+    if any(c < d for c, d in zip(points, dims)):
+        raise UsageError(f"{point_flag} must give each subspace >= {dim_flag} points, got {points}")
+
+
 def cmd_synth(args) -> int:
     dims, points = _int_list(args.dims, "--dims"), _int_list(args.points, "--points")
+    if not len(dims) == len(points) == args.k:
+        raise UsageError(f"--dims and --points must each list --k {args.k} values")
+    _check_shape(args.ambient, dims, points, "--dims", "--points")
+    if not 0 <= args.noise_sigma < math.inf:
+        raise UsageError(f"--noise-sigma must be finite and >= 0, got {args.noise_sigma}")
+    if not 0 <= args.corrupt_frac <= 1:
+        raise UsageError(f"--corrupt-frac must lie in [0, 1], got {args.corrupt_frac}")
     seed = _checked(_FIELDS["seed"], args.seed, "--seed")  # cluster's --seed rule
     out = _output_path(args.out, "--out")
     labels_path = _output_path(args.labels_out or out.with_suffix(".labels"), "--labels-out")
-    try:
-        dataset = dataio.synth_subspaces(
-            k=args.k, ambient=args.ambient, dim_per=dims, points_per=points,
-            noise_sigma=args.noise_sigma, corrupt_frac=args.corrupt_frac, seed=seed,
-        )
-    except ValueError as exc:  # a flag value the generator rejects
-        raise UsageError(str(exc)) from None
+    dataset = dataio.synth_subspaces(
+        k=args.k, ambient=args.ambient, dim_per=dims, points_per=points,
+        noise_sigma=args.noise_sigma, corrupt_frac=args.corrupt_frac, seed=seed,
+    )
     np.savetxt(out, dataset.data.values.T, fmt="%.17g", delimiter=",")
     labels = dataset.truth.labels.copy()
     labels[dataset.corrupted] = -1  # corrupted columns are marked -1
@@ -505,13 +496,11 @@ def cmd_bench(args) -> int:
         points = [n // args.k] * args.k
         for i in range(n - sum(points)):
             points[i] += 1
-        try:
-            dataset = dataio.synth_subspaces(
-                k=args.k, ambient=args.ambient, dim_per=[args.dim] * args.k,
-                points_per=points, seed=args.seed,
-            )
-        except ValueError as exc:  # a flag value the generator rejects
-            raise UsageError(str(exc)) from None
+        _check_shape(args.ambient, [args.dim] * args.k, points, "--dim", "--n")
+        dataset = dataio.synth_subspaces(
+            k=args.k, ambient=args.ambient, dim_per=[args.dim] * args.k,
+            points_per=points, seed=args.seed,
+        )
         report = run_pipeline(cfg, dataset.data, dataset.truth)
         out = report.model.split.out_of_sample
         timings = [report.stage_seconds] + [
@@ -585,8 +574,7 @@ def cmd_eval(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
-    def error(self, message):  # usage errors exit 1, not argparse's 2
-        self.print_usage(sys.stderr)
+    def error(self, message):  # usage errors exit 1 with one line, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 

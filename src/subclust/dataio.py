@@ -231,10 +231,6 @@ def synth_subspaces(
             raise ValueError(
                 f"subspace {i}: points_per={c} is below its dimension {d}"
             )
-    if not 0 <= noise_sigma < np.inf:
-        raise ValueError(f"noise_sigma must be finite and nonnegative, got {noise_sigma}")
-    if not (0.0 <= corrupt_frac <= 1.0):
-        raise ValueError("corrupt_frac must lie in [0, 1]")
 
     rng = np.random.default_rng(seed)
     Q, R = np.linalg.qr(rng.standard_normal((ambient, ambient)))

@@ -29,15 +29,17 @@ ERROR_NORMS = ("l21", "l1", "fro")
 # median column norm
 OUTLIER_RATIO = 10.0
 
+# the fixed inexact-ALM schedule of Liu et al. (TPAMI 2013); see solve_lrr
+MU_INIT = 1e-2
+RHO = 1.5
+MU_MAX = 1e10
+CONSTRAINT_TOL = 1e-7
+
 
 @dataclass(frozen=True)
 class LrrConfig:
     lam: float = 1.0
     error_norm: str = "l21"
-    mu_init: float = 1e-2
-    rho: float = 1.5
-    mu_max: float = 1e10
-    constraint_tol: float = 1e-7
     max_iterations: int = 500
 
 
@@ -103,10 +105,11 @@ def solve_lrr(Y, cfg: LrrConfig) -> LrrSolution:
     and every update stays in range(Q), so iterates, iteration count, E and
     objective are those of the p x p iteration up to rounding.
 
-    Stops when both the constraint residual ||Y - YC - E||_F and the
-    splitting residual ||C - J||_F fall below
-    constraint_tol * max(1, ||Y||_F). Hitting max_iterations returns the
-    best (last) iterate with converged=False.
+    The penalty mu follows the fixed schedule MU_INIT, RHO, MU_MAX. Stops
+    when both the constraint residual ||Y - YC - E||_F and the splitting
+    residual ||C - J||_F fall below CONSTRAINT_TOL * max(1, ||Y||_F).
+    Hitting cfg.max_iterations returns the best (last) iterate with
+    converged=False.
     """
     Y = Y if isinstance(Y, DataMatrix) else DataMatrix(np.asarray(Y, dtype=float))
     if Y.n < 2:
@@ -115,7 +118,7 @@ def solve_lrr(Y, cfg: LrrConfig) -> LrrSolution:
     V = Y.values
     m, n = V.shape
     y_scale = max(1.0, float(np.linalg.norm(V)))
-    tol = cfg.constraint_tol * y_scale
+    tol = CONSTRAINT_TOL * y_scale
 
     # orthonormal basis of Y's row space; r is the numerical rank under the
     # numpy.linalg.matrix_rank tolerance, at least 1 so a zero Y has a basis
@@ -130,7 +133,7 @@ def solve_lrr(Y, cfg: LrrConfig) -> LrrSolution:
     E = np.zeros((m, n))
     L1 = np.zeros((m, n))  # multiplier for Y = YC + E
     L2 = np.zeros((r, n))  # multiplier for C = J
-    mu = cfg.mu_init
+    mu = MU_INIT
 
     converged = False
     it = 0
@@ -152,7 +155,7 @@ def solve_lrr(Y, cfg: LrrConfig) -> LrrSolution:
 
         L1 = L1 + mu * R1
         L2 = L2 + mu * R2
-        mu = min(cfg.rho * mu, cfg.mu_max)
+        mu = min(RHO * mu, MU_MAX)
 
         r1 = float(np.linalg.norm(R1))
         r2 = float(np.linalg.norm(R2))

@@ -3,7 +3,7 @@
 Pipeline: affinity A = |C| + |C|^T, normalized Laplacian
 L = I - D^{-1/2} A D^{-1/2}, the k eigenvectors with smallest eigenvalues
 (dense up to DENSE_EIG_LIMIT rows, Lanczos above), k-means on the
-(optionally row-normalized) embedding rows.
+row-normalized embedding rows.
 """
 
 from __future__ import annotations
@@ -22,6 +22,8 @@ DENSE_EIG_LIMIT = 4000
 # objective by no more than this fraction of it
 KMEANS_MAX_ITERATIONS = 300
 KMEANS_REL_TOL = 1e-9
+# k-means keeps the best of this many k-means++ starts
+KMEANS_RESTARTS = 20
 
 
 @dataclass(frozen=True)
@@ -160,8 +162,8 @@ def _lloyd(points: np.ndarray, centers: np.ndarray):
     return labels, centers, prev_obj
 
 
-def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> ClusterAssignment:
-    """Best-of-``restarts`` Lloyd iterations from k-means++ seeding.
+def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterAssignment:
+    """Best-of-KMEANS_RESTARTS Lloyd iterations from k-means++ seeding.
 
     Each restart draws from its own generator seeded by (seed, restart), so
     the result does not depend on evaluation order. Ties between restarts go
@@ -176,7 +178,7 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> Clu
 
     best_labels = None
     best_obj = np.inf
-    for r in range(restarts):
+    for r in range(KMEANS_RESTARTS):
         rng = np.random.default_rng([seed, r])
         centers = _kmeans_pp_centers(points, k, rng)
         labels, _, obj = _lloyd(points, centers)
@@ -186,18 +188,11 @@ def kmeans(points: np.ndarray, k: int, restarts: int = 20, seed: int = 0) -> Clu
     return ClusterAssignment(best_labels, k)
 
 
-def spectral_cluster(
-    C: np.ndarray,
-    k: int,
-    restarts: int = 20,
-    seed: int = 0,
-    row_normalize: bool = True,
-) -> ClusterAssignment:
+def spectral_cluster(C: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     """Affinity -> Laplacian -> bottom-k eigenvectors -> k-means.
 
-    ``row_normalize`` scales each embedding row to unit length before
-    k-means (zero rows are left alone); pass False to cluster the raw
-    eigenvector rows instead.
+    Each embedding row is scaled to unit length before k-means (zero rows
+    are left alone).
     """
     A = build_affinity(C)
     if not np.any(A.values):
@@ -205,10 +200,7 @@ def spectral_cluster(
             "coefficient matrix is all zeros; no similarity graph to cluster"
         )
     L = normalized_laplacian(A)
-    embedding = smallest_eigenvectors(L, k)
-    V = embedding.V
-    if row_normalize:
-        norms = np.linalg.norm(V, axis=1, keepdims=True)
-        norms[norms == 0] = 1.0
-        V = V / norms
-    return kmeans(V, k, restarts=restarts, seed=seed)
+    V = smallest_eigenvectors(L, k).V
+    norms = np.linalg.norm(V, axis=1, keepdims=True)
+    norms[norms == 0] = 1.0
+    return kmeans(V / norms, k, seed)

@@ -20,6 +20,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
+from subclust import lowrank
 from subclust.errors import UnassignableSampleError
 from subclust.lowrank import LrrConfig, _error_prox, _error_value, svt
 from subclust.sparse_coding import SNAP_TOL, soft_threshold
@@ -207,12 +208,14 @@ class FullSpaceLrrSolution:
 
 def lrr_full_space_oracle(V, cfg=None, track_objective=False):
     """Inexact ALM for min ||C||_* + lam*||E||_err s.t. V = VC + E with
-    p x p iterates: a full p x p SVD and a p x p SPD solve per iteration."""
+    p x p iterates: a full p x p SVD and a p x p SPD solve per iteration.
+    The penalty schedule and tolerance are read from ``lowrank`` at call
+    time, so a test that monkeypatches them changes both solvers alike."""
     V = np.asarray(V, dtype=float)
     cfg = cfg or LrrConfig()
     m, n = V.shape
     y_scale = max(1.0, float(np.linalg.norm(V)))
-    tol = cfg.constraint_tol * y_scale
+    tol = lowrank.CONSTRAINT_TOL * y_scale
 
     G = V.T @ V
     system = cho_factor(np.eye(n) + G)
@@ -222,7 +225,7 @@ def lrr_full_space_oracle(V, cfg=None, track_objective=False):
     E = np.zeros((m, n))
     L1 = np.zeros((m, n))  # multiplier for Y = YC + E
     L2 = np.zeros((n, n))  # multiplier for C = J
-    mu = cfg.mu_init
+    mu = lowrank.MU_INIT
 
     R1 = V - V @ C - E
     R2 = C - J
@@ -265,7 +268,7 @@ def lrr_full_space_oracle(V, cfg=None, track_objective=False):
 
         L1 = L1 + mu * R1
         L2 = L2 + mu * R2
-        mu = min(cfg.rho * mu, cfg.mu_max)
+        mu = min(lowrank.RHO * mu, lowrank.MU_MAX)
 
         r1 = float(np.linalg.norm(R1))
         r2 = float(np.linalg.norm(R2))

@@ -168,7 +168,7 @@ def test_kmeans_separated_clouds():
     a = rng.standard_normal((20, 2))
     b = rng.standard_normal((15, 2)) + 500.0
     points = np.vstack([a, b])
-    out = kmeans(points, 2, restarts=5, seed=0)
+    out = kmeans(points, 2, seed=0)
     truth = ClusterAssignment(np.r_[np.zeros(20, int), np.ones(15, int)], 2)
     assert accuracy(out, truth) == 1.0
 
@@ -176,7 +176,7 @@ def test_kmeans_separated_clouds():
 def test_kmeans_single_cluster_objective_is_total_variance():
     rng = np.random.default_rng(3)
     points = rng.standard_normal((12, 3))
-    out = kmeans(points, 1, restarts=1, seed=0)
+    out = kmeans(points, 1, seed=0)
     assert np.all(out.labels == 0)
     assert wcss(points, out.labels) == pytest.approx(
         float(((points - points.mean(axis=0)) ** 2).sum())
@@ -186,7 +186,7 @@ def test_kmeans_single_cluster_objective_is_total_variance():
 def test_kmeans_reaches_global_optimum_on_small_instance():
     rng = np.random.default_rng(4)
     points = rng.standard_normal((12, 2))
-    out = kmeans(points, 3, restarts=50, seed=0)
+    out = kmeans(points, 3, seed=0)
     achieved = wcss(points, out.labels)
     best = min(
         wcss(points, labels)
@@ -199,19 +199,19 @@ def test_kmeans_reaches_global_optimum_on_small_instance():
 def test_kmeans_deterministic():
     rng = np.random.default_rng(5)
     points = rng.standard_normal((30, 4))
-    a = kmeans(points, 3, restarts=10, seed=42)
-    b = kmeans(points, 3, restarts=10, seed=42)
+    a = kmeans(points, 3, seed=42)
+    b = kmeans(points, 3, seed=42)
     np.testing.assert_array_equal(a.labels, b.labels)
 
 
 def test_kmeans_rejects_small_n():
     with pytest.raises(ValueError):
-        kmeans(np.zeros((2, 2)), 3)
+        kmeans(np.zeros((2, 2)), 3, seed=0)
 
 
 def test_kmeans_handles_duplicate_points():
     points = np.ones((6, 2))
-    out = kmeans(points, 3, restarts=2, seed=0)
+    out = kmeans(points, 3, seed=0)
     assert out.n == 6
     assert np.all((out.labels >= 0) & (out.labels < 3))
 
