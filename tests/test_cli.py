@@ -546,14 +546,23 @@ def test_cluster_k_above_p_is_usage_error(tmp_path, synth_files, capsys):
 @pytest.mark.parametrize(
     "algorithm, flags",
     [
+        ("slrr", ["--lambda", "-1"]),
+        ("sssc", ["--lambda", "0"]),
         ("sssc", ["--lambda", "inf"]),
         ("slrr", ["--lambda", "inf"]),
         ("sssc", ["--lambda", "nan"]),
+        ("sssc", ["--gamma", "-1"]),
         ("sssc", ["--gamma", "inf"]),
+        ("sssc", ["--pca-energy", "1.5"]),
+        ("sssc", ["--delta", "-1"]),
         ("slrr", ["--p", "1", "--k", "1"]),
         ("sssc", ["--p", "1", "--k", "1"]),
+        ("sssc", ["--seed", "-1"]),
     ],
-    ids=["lambda-inf-sssc", "lambda-inf-slrr", "lambda-nan", "gamma-inf", "slrr-p-1", "sssc-p-1"],
+    ids=[
+        "lambda-negative", "lambda-zero", "lambda-inf-sssc", "lambda-inf-slrr", "lambda-nan",
+        "gamma", "gamma-inf", "pca-energy", "delta", "slrr-p-1", "sssc-p-1", "seed-negative",
+    ],
 )
 def test_cluster_bad_solver_knob_is_usage_error(tmp_path, synth_files, capsys, algorithm, flags):
     data, _ = synth_files
@@ -584,6 +593,7 @@ CLUSTER_FLAGS = {"algorithm": "sssc", "k": "2", "p": "40", "seed": "0"}
         {"seed": 1.5},
         {"pca_energy": "x"},
         {"gamma": 10**400},
+        pytest.param({"seed": -1}, id="seed-negative"),
     ],
     ids=lambda bad: next(iter(bad)),
 )
@@ -619,6 +629,17 @@ OUT_OF_RANGE = [
     ("pca_energy", "above", 0.0),
     ("pca_energy", "maximum", 1.5),
 ]
+# the solver schedules that were knobs admit no value now: the values that
+# fell outside their ranges are still refused, as an unknown flag or key
+REMOVED_OUT_OF_RANGE = [
+    ("restarts", "minimum", 0),
+    ("kkt_tol", "above", 0.0),
+    ("constraint_tol", "above", 0.0),
+    ("mu_init", "above", 0.0),
+    ("rho", "above", 1.0),
+    ("mu_max", "above", 0.0),
+    ("mu_init", "mu_max", 1e11),
+]
 
 
 def test_out_of_range_cases_cover_every_declared_bound():
@@ -643,15 +664,17 @@ def range_data(tmp_path_factory):
 @pytest.mark.parametrize("source", ["flag", "config"])
 @pytest.mark.parametrize("algorithm", cli.ALGORITHMS)
 @pytest.mark.parametrize(
-    "name, bound, value", OUT_OF_RANGE, ids=[f"{name}-{bound}" for name, bound, _ in OUT_OF_RANGE],
+    "name, bound, value",
+    OUT_OF_RANGE + REMOVED_OUT_OF_RANGE,
+    ids=[f"{name}-{bound}" for name, bound, _ in OUT_OF_RANGE + REMOVED_OUT_OF_RANGE],
 )
 def test_cluster_value_outside_its_range_is_usage_error(
     tmp_path, range_data, capsys, algorithm, source, name, bound, value
 ):
     # every bound holds under every algorithm, whether the value comes from
     # a flag or from the config file
-    f = next(f for f in dataclasses.fields(RunConfig) if f.name == name)
-    key = _key(f)
+    f = next((f for f in dataclasses.fields(RunConfig) if f.name == name), None)
+    key = name if f is None else _key(f)
     given = {"algorithm": algorithm, "k": "2", "p": "20", "seed": "0"}
     out = tmp_path / "x.json"
     argv = ["--input", str(range_data), "--output", str(out)]
@@ -671,7 +694,8 @@ def test_cluster_value_outside_its_range_is_usage_error(
     assert err.count("\n") == 1
     assert err.startswith("subclust: error:")
     assert where in err
-    assert f"must be {BOUND_WORDING[bound]} {f.metadata[bound]}, got" in err
+    if f is not None:
+        assert f"must be {BOUND_WORDING[bound]} {f.metadata[bound]}, got" in err
     assert not out.exists() and not out.with_suffix(".labels").exists()
 
 
@@ -776,28 +800,24 @@ def test_bad_config_values_never_end_in_a_traceback(tmp_path_factory, data):
     assert err.getvalue().count("\n") == 1
 
 
-@pytest.mark.parametrize(
-    "algorithm, caps",
-    [
+def test_cluster_non_convergence_exits_3_with_report(tmp_path, synth_files):
+    # the iteration caps alone stop either solver short of its tolerance
+    data, _ = synth_files
+    for algorithm, caps in [
         ("sssc", ["--delta", "0", "--lasso-max-iterations", "5"]),
         ("slrr", ["--lrr-max-iterations", "3"]),
-    ],
-    ids=["sssc", "slrr"],
-)
-def test_cluster_non_convergence_exits_3_with_report(tmp_path, synth_files, algorithm, caps):
-    # the iteration caps alone stop the solvers short of their tolerances
-    data, _ = synth_files
-    out = tmp_path / "nc.json"
-    rc = run_cli(
-        "cluster", "--algorithm", algorithm, "--input", str(data),
-        "--k", "2", "--p", "40", "--seed", "3", "--output", str(out), *caps,
-    )
-    assert rc == 3
-    report = json.loads(out.read_text())
-    assert report["converged"] is False
-    if algorithm == "slrr":
-        assert report["solver"]["iterations"] == 3
-    assert out.with_suffix(".labels").exists()
+    ]:
+        out = tmp_path / f"nc-{algorithm}.json"
+        rc = run_cli(
+            "cluster", "--algorithm", algorithm, "--input", str(data),
+            "--k", "2", "--p", "40", "--seed", "3", "--output", str(out), *caps,
+        )
+        assert rc == 3, algorithm
+        report = json.loads(out.read_text())
+        assert report["converged"] is False
+        if algorithm == "slrr":
+            assert report["solver"]["iterations"] == 3
+        assert out.with_suffix(".labels").exists()
 
 
 # the solver schedules that are constants of their modules, not knobs:
