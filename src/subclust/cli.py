@@ -23,6 +23,7 @@ non-convergence (report still written).
 from __future__ import annotations
 
 import argparse
+import inspect
 import json
 import math
 import operator
@@ -52,6 +53,11 @@ class UsageError(SubclustError, ValueError):
     """Bad flag combinations discovered after parsing."""
 
 
+def _default(fn, name: str):
+    """The default of ``fn``'s parameter ``name``, which ``fn`` alone writes."""
+    return inspect.signature(fn).parameters[name].default
+
+
 def _knob(default=MISSING, **metadata):
     """A RunConfig field. ``metadata`` may hold ``key`` (the config-file key
     and flag name, when not the field name), ``choices``, the range bounds
@@ -70,7 +76,7 @@ class RunConfig:
     range checks and the report's ``parameters`` are all derived from these
     fields. A field without a default must be given. ``lam`` left as None
     takes the per-algorithm default in LAMBDA_DEFAULTS; the other solver
-    defaults are read from SparseSelfRepConfig and LrrConfig.
+    defaults are read from the configs and functions that take them.
     """
 
     algorithm: str = _knob(choices=ALGORITHMS, role="identity")
@@ -79,7 +85,7 @@ class RunConfig:
     seed: int = _knob(role="identity", minimum=0)
     lam: float | None = _knob(None, key="lambda", above=0)
     delta: float = _knob(SparseSelfRepConfig.delta, minimum=0)
-    gamma: float = _knob(1e-6, above=0)
+    gamma: float = _knob(_default(oos.build_dictionary, "gamma"), above=0)
     error_norm: str = _knob(LrrConfig.error_norm, choices=ERROR_NORMS)
     lasso_max_iterations: int = _knob(SparseSelfRepConfig.max_iterations, minimum=1)
     lrr_max_iterations: int = _knob(LrrConfig.max_iterations, minimum=1)
@@ -88,7 +94,7 @@ class RunConfig:
     input: str | None = _knob(role="io")
     labels: str | None = _knob(None, role="io", help="optional truth sidecar for accuracy/NMI")
     output: str | None = _knob(role="io")
-    has_header: bool = _knob(False, role="io")
+    has_header: bool = _knob(_default(dataio.load_csv, "has_header"), role="io")
 
     def __post_init__(self):
         if self.lam is None:
@@ -150,11 +156,16 @@ def _checked(f, value, name: str):
     return float(value) if base is float else value
 
 
-def _output_path(path, flag: str) -> Path:
-    """``path`` as a Path; refused before any work when its directory is missing."""
+def _output_path(path, flag: str, taken: dict) -> Path:
+    """``path`` as a Path, added to ``taken`` (name -> path); refused before any
+    work when its directory is missing or it is the same file as one in ``taken``."""
     path = Path(path)
     if not path.parent.is_dir():
         raise FileNotFoundError(f"{flag} {path}: {path.parent} is not a directory")
+    for name, other in taken.items():
+        if other is not None and path.resolve() == Path(other).resolve():
+            raise UsageError(f"{flag} and {name} are the same file {path}")
+    taken[flag] = path
     return path
 
 
@@ -395,12 +406,17 @@ def cmd_synth(args) -> int:
     if not 0 <= args.corrupt_frac <= 1:
         raise UsageError(f"--corrupt-frac must lie in [0, 1], got {args.corrupt_frac}")
     seed = _checked(_FIELDS["seed"], args.seed, "--seed")  # cluster's --seed rule
-    out = _output_path(args.out, "--out")
-    labels_path = _output_path(args.labels_out or out.with_suffix(".labels"), "--labels-out")
-    dataset = dataio.synth_subspaces(
-        k=args.k, ambient=args.ambient, dim_per=dims, points_per=points,
-        noise_sigma=args.noise_sigma, corrupt_frac=args.corrupt_frac, seed=seed,
-    )
+    taken: dict = {}
+    out = _output_path(args.out, "--out", taken)
+    labels_path = _output_path(args.labels_out or out.with_suffix(".labels"), "--labels-out", taken)
+    try:
+        with np.errstate(over="raise"):  # only the noise can overflow
+            dataset = dataio.synth_subspaces(
+                k=args.k, ambient=args.ambient, dim_per=dims, points_per=points,
+                noise_sigma=args.noise_sigma, corrupt_frac=args.corrupt_frac, seed=seed,
+            )
+    except FloatingPointError:
+        raise UsageError(f"--noise-sigma {args.noise_sigma} overflows the data") from None
     np.savetxt(out, dataset.data.values.T, fmt="%.17g", delimiter=",")
     labels = dataset.truth.labels.copy()
     labels[dataset.corrupted] = -1  # corrupted columns are marked -1
@@ -438,7 +454,9 @@ def _merge_config(args) -> RunConfig:
 
 def cmd_cluster(args) -> int:
     cfg = _merge_config(args)
-    out = _output_path(cfg.output, "--output")
+    taken = {"--input": cfg.input, "--labels": cfg.labels, "--config": args.config}
+    out = _output_path(cfg.output, "--output", taken)
+    labels_path = _output_path(out.with_suffix(".labels"), "the labels file of --output", taken)
     data = dataio.load_csv(cfg.input, has_header=cfg.has_header)
     truth = None
     if cfg.labels:
@@ -451,7 +469,6 @@ def cmd_cluster(args) -> int:
 
     report = run_pipeline(cfg, data, truth)
 
-    labels_path = out.with_suffix(".labels")
     _write_labels(labels_path, report.labels.labels)
     with open(out, "w") as fh:
         json.dump(report.to_json_dict(labels_file=labels_path), fh, indent=2)
@@ -490,7 +507,7 @@ def cmd_bench(args) -> int:
         input=None, output=None,
     )
     if args.output:
-        _output_path(args.output, "--output")
+        _output_path(args.output, "--output", {})
     runs = []
     for n in sorted(set(args.n)):
         points = [n // args.k] * args.k
@@ -587,8 +604,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--ambient", type=int, required=True)
     sp.add_argument("--dims", required=True, help="comma list of subspace dims")
     sp.add_argument("--points", required=True, help="comma list of points per subspace")
-    sp.add_argument("--noise-sigma", type=float, default=0.0)
-    sp.add_argument("--corrupt-frac", type=float, default=0.0)
+    for name in ("noise_sigma", "corrupt_frac"):
+        sp.add_argument("--" + name.replace("_", "-"), type=float,
+                        default=_default(dataio.synth_subspaces, name))
     sp.add_argument("--seed", type=int, required=True)
     sp.add_argument("--out", required=True)
     sp.add_argument("--labels-out")

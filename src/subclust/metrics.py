@@ -1,43 +1,25 @@
 """Clustering evaluation: accuracy under the best label matching, and NMI.
 
 Accuracy matches predicted clusters to truth classes by a maximum-weight
-assignment on the contingency counts (shortest augmenting paths); NMI is
-mutual information over the contingency table normalized by the larger
-entropy, with base-2 logs and the 0 log 0 = 0 convention.
+assignment on the contingency counts [a, b] = #{i : pred_i = a, truth_i = b}
+(shortest augmenting paths); NMI is their mutual information normalized by
+the larger entropy, with base-2 logs and the 0 log 0 = 0 convention.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 
 import numpy as np
 
 from .types import ClusterAssignment
 
 
-@dataclass(frozen=True)
-class ContingencyTable:
-    """Joint counts: counts[a, b] = #{i : pred_i = a, truth_i = b}."""
-
-    counts: np.ndarray
-    n: int
-
-    def __post_init__(self):
-        c = np.asarray(self.counts, dtype=int)
-        if c.ndim != 2:
-            raise ValueError("counts must be a matrix")
-        if int(c.sum()) != self.n:
-            raise ValueError(f"counts sum to {c.sum()}, expected n={self.n}")
-        object.__setattr__(self, "counts", c)
-
-
-def contingency(pred: ClusterAssignment, truth: ClusterAssignment) -> ContingencyTable:
+def contingency(pred: ClusterAssignment, truth: ClusterAssignment) -> np.ndarray:
     if pred.n != truth.n:
         raise ValueError(f"label lengths differ: {pred.n} vs {truth.n}")
     flat = pred.labels * truth.k + truth.labels
-    counts = np.bincount(flat, minlength=pred.k * truth.k).reshape(pred.k, truth.k)
-    return ContingencyTable(counts, pred.n)
+    return np.bincount(flat, minlength=pred.k * truth.k).reshape(pred.k, truth.k)
 
 
 def accuracy(pred: ClusterAssignment, truth: ClusterAssignment) -> float:
@@ -46,8 +28,7 @@ def accuracy(pred: ClusterAssignment, truth: ClusterAssignment) -> float:
     The mapping is a maximum-weight matching on the contingency counts;
     with pred.k != truth.k the surplus clusters or classes stay unmatched.
     """
-    table = contingency(pred, truth)
-    return _max_weight_matching(table.counts) / table.n
+    return _max_weight_matching(contingency(pred, truth)) / pred.n
 
 
 def _max_weight_matching(weights: np.ndarray) -> int:
@@ -102,9 +83,8 @@ def nmi(pred: ClusterAssignment, truth: ClusterAssignment) -> float:
     with exact summation, so swapping the arguments gives the identical
     float.
     """
-    table = contingency(pred, truth)
-    counts = table.counts
-    n = table.n
+    counts = contingency(pred, truth)
+    n = pred.n
     p_pred = counts.sum(axis=1) / n
     p_truth = counts.sum(axis=0) / n
 

@@ -1,14 +1,12 @@
 """Spectral clustering over a coefficient matrix.
 
-Pipeline: affinity A = |C| + |C|^T, normalized Laplacian
-L = I - D^{-1/2} A D^{-1/2}, the k eigenvectors with smallest eigenvalues
-(dense up to DENSE_EIG_LIMIT rows, Lanczos above), k-means on the
-row-normalized embedding rows.
+Pipeline, passing plain arrays: affinity A = |C| + |C|^T, normalized
+Laplacian L = I - D^{-1/2} A D^{-1/2}, the k eigenpairs with smallest
+eigenvalues (dense up to DENSE_EIG_LIMIT rows, Lanczos above), k-means on
+the row-normalized embedding rows.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -26,73 +24,33 @@ KMEANS_REL_TOL = 1e-9
 KMEANS_RESTARTS = 20
 
 
-@dataclass(frozen=True)
-class AffinityMatrix:
-    """Symmetric nonnegative similarity matrix."""
-
-    values: np.ndarray
-
-    def __post_init__(self):
-        v = np.asarray(self.values, dtype=float)
-        if v.ndim != 2 or v.shape[0] != v.shape[1]:
-            raise ValueError(f"affinity must be square, got shape {v.shape}")
-        if not np.array_equal(v, v.T):
-            raise ValueError("affinity must be exactly symmetric")
-        if v.size and v.min() < 0:
-            raise ValueError("affinity entries must be nonnegative")
-        object.__setattr__(self, "values", v)
-
-
-@dataclass(frozen=True)
-class SpectralEmbedding:
-    """Bottom-k eigenpairs of a normalized Laplacian; rows of V embed samples."""
-
-    V: np.ndarray
-    eigenvalues: np.ndarray
-
-    def __post_init__(self):
-        V = np.asarray(self.V, dtype=float)
-        ev = np.asarray(self.eigenvalues, dtype=float)
-        if V.ndim != 2 or ev.ndim != 1 or V.shape[1] != ev.size:
-            raise ValueError("V must be n x k with one eigenvalue per column")
-        gram = V.T @ V
-        if np.max(np.abs(gram - np.eye(ev.size))) > 1e-8:
-            raise ValueError("columns of V must be orthonormal within 1e-8")
-        if np.any(np.diff(ev) < 0):
-            raise ValueError("eigenvalues must be ascending")
-        if ev.size and (ev[0] < -1e-8 or ev[-1] > 2 + 1e-8):
-            raise ValueError("eigenvalues must lie in [-1e-8, 2 + 1e-8]")
-        object.__setattr__(self, "V", V)
-        object.__setattr__(self, "eigenvalues", ev)
-
-
-def build_affinity(C: np.ndarray) -> AffinityMatrix:
-    """A = |C| + |C|^T, entrywise."""
+def build_affinity(C: np.ndarray) -> np.ndarray:
+    """A = |C| + |C|^T, entrywise: symmetric and nonnegative."""
     C = np.asarray(C, dtype=float)
     if C.ndim != 2 or C.shape[0] != C.shape[1]:
         raise ValueError(f"coefficient matrix must be square, got shape {C.shape}")
     A = np.abs(C)
-    return AffinityMatrix(A + A.T)
+    return A + A.T
 
 
-def normalized_laplacian(A: AffinityMatrix) -> np.ndarray:
+def normalized_laplacian(A: np.ndarray) -> np.ndarray:
     """L = I - D^{-1/2} A D^{-1/2} with d_i = sum_j A_ij.
 
     Zero-degree vertices get D^{-1/2}_ii = 0, leaving them isolated with
     L_ii = 1.
     """
-    V = A.values
-    d = V.sum(axis=1)
+    d = A.sum(axis=1)
     inv_sqrt = np.zeros_like(d)
     pos = d > 0
     inv_sqrt[pos] = 1.0 / np.sqrt(d[pos])
     # outer-product scaling keeps L exactly symmetric
-    L = np.eye(V.shape[0]) - np.outer(inv_sqrt, inv_sqrt) * V
-    return L
+    return np.eye(A.shape[0]) - np.outer(inv_sqrt, inv_sqrt) * A
 
 
-def smallest_eigenvectors(L: np.ndarray, k: int) -> SpectralEmbedding:
-    """The k eigenvectors of (L + L^T)/2 with smallest eigenvalues.
+def smallest_eigenvectors(L: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenvalues, vectors): the k smallest eigenvalues of (L + L^T)/2,
+    ascending, and the n x k orthonormal eigenvectors as columns in the same
+    order; rows of ``vectors`` embed the samples.
 
     The size picks the eigensolver: a dense ``eigh`` up to DENSE_EIG_LIMIT
     rows (or when k >= n - 1, which Lanczos cannot serve), a Lanczos
@@ -111,14 +69,14 @@ def smallest_eigenvectors(L: np.ndarray, k: int) -> SpectralEmbedding:
     sym = 0.5 * (L + L.T)
     if n <= DENSE_EIG_LIMIT or k >= n - 1:
         eigenvalues, vectors = np.linalg.eigh(sym)
-        return SpectralEmbedding(vectors[:, :k], eigenvalues[:k])
+        return eigenvalues[:k], vectors[:, :k]
 
     from scipy.sparse.linalg import eigsh
 
     # largest eigenpairs of 2I - L are the smallest of L, and converge fast
     vals, vecs = eigsh(2.0 * np.eye(n) - sym, k=k, which="LA", v0=np.ones(n))
     order = np.argsort(-vals)
-    return SpectralEmbedding(vecs[:, order], 2.0 - vals[order])
+    return 2.0 - vals[order], vecs[:, order]
 
 
 def _kmeans_pp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
@@ -195,12 +153,12 @@ def spectral_cluster(C: np.ndarray, k: int, seed: int) -> ClusterAssignment:
     are left alone).
     """
     A = build_affinity(C)
-    if not np.any(A.values):
+    if not np.any(A):
         raise DegenerateAffinityError(
             "coefficient matrix is all zeros; no similarity graph to cluster"
         )
     L = normalized_laplacian(A)
-    V = smallest_eigenvectors(L, k).V
+    _, V = smallest_eigenvectors(L, k)
     norms = np.linalg.norm(V, axis=1, keepdims=True)
     norms[norms == 0] = 1.0
     return kmeans(V / norms, k, seed)

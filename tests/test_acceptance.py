@@ -223,7 +223,7 @@ def test_criterion_6_metric_oracles():
             k_pred, k_truth = (int(k) for k in rng.integers(1, 8, size=2))
             pred = ClusterAssignment(rng.integers(0, k_pred, n), k_pred)
             truth = ClusterAssignment(rng.integers(0, k_truth, n), k_truth)
-            counts = metrics.contingency(pred, truth).counts
+            counts = metrics.contingency(pred, truth)
             padded = np.zeros((max(k_pred, k_truth),) * 2)
             padded[:k_pred, :k_truth] = counts
             matched = -brute_force_assignment_cost(-padded)

@@ -74,6 +74,7 @@ BENCH_FLAGS = ["--n", "100", "--p", "20", "--ambient", "30"]
         ("synth", ["--noise-sigma", "nan"], "--noise-sigma"),
         ("synth", ["--noise-sigma", "inf"], "--noise-sigma"),
         ("synth", ["--noise-sigma", "-1"], "--noise-sigma"),
+        ("synth", ["--noise-sigma", "1e308"], "--noise-sigma"),
         ("synth", ["--corrupt-frac", "2"], "--corrupt-frac"),
         ("synth", ["--seed", "-1"], "--seed"),
         ("synth", ["--dims", ",2"], "--dims"),
@@ -86,7 +87,8 @@ BENCH_FLAGS = ["--n", "100", "--p", "20", "--ambient", "30"]
     ],
     ids=[
         "synth-dims-not-integers", "synth-dims-above-ambient", "synth-dims-not-k",
-        "synth-noise-nan", "synth-noise-inf", "synth-noise-negative", "synth-corrupt-above-1",
+        "synth-noise-nan", "synth-noise-inf", "synth-noise-negative", "synth-noise-overflows",
+        "synth-corrupt-above-1",
         "synth-seed-negative", "synth-dims-empty-entry", "bench-k-0", "bench-dims-above-ambient",
         "bench-dim-0", "bench-points-below-dim", "bench-repeats-0", "bench-seed-negative",
     ],
@@ -114,6 +116,16 @@ def test_synth_output_in_missing_directory_fails_before_writing(tmp_path, capsys
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert err.startswith(f"subclust: data error: {flag}") and "missing" in err
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_synth_out_named_like_its_labels_is_usage_error(tmp_path, capsys):
+    # the default labels path of --out d.labels is d.labels itself
+    rc = run_cli("synth", *SYNTH_FLAGS, "--out", str(tmp_path / "d.labels"))
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith("subclust: error: --labels-out and --out are the same file")
     assert list(tmp_path.iterdir()) == []
 
 
@@ -256,6 +268,27 @@ def test_cluster_config_file_precedence(tmp_path, synth_files):
     report = json.loads(out.read_text())
     assert report["p"] == 40  # from the config file
     assert report["parameters"]["gamma"] == 1e-6  # flag beats file
+
+
+@pytest.mark.parametrize("source", ["flag", "config"])
+def test_cluster_header_row_is_skipped_end_to_end(tmp_path, synth_files, source):
+    data, _ = synth_files
+    headed = tmp_path / "headed.csv"
+    columns = ",".join(f"x{i}" for i in range(50))
+    headed.write_text(columns + "\n" + data.read_text())
+    cfg_path = tmp_path / "cfg.json"
+    cfg_path.write_text(json.dumps({"has_header": True}))
+    header = ["--has-header"] if source == "flag" else ["--config", str(cfg_path)]
+    labels = []
+    for name, path, extra in (("plain", data, []), ("headed", headed, header)):
+        out = tmp_path / f"{name}.json"
+        rc = run_cli(
+            "cluster", "--algorithm", "sssc", "--input", str(path), "--k", "2",
+            "--p", "40", "--seed", "3", "--output", str(out), *extra,
+        )
+        assert rc == 0
+        labels.append(out.with_suffix(".labels").read_bytes())
+    assert labels[0] == labels[1]
 
 
 def test_cluster_requires_seed(tmp_path, synth_files):
@@ -529,6 +562,31 @@ def test_cluster_output_in_missing_directory_fails_before_the_run(
     assert err.startswith("subclust: data error: --output") and "missing" in err
 
 
+@pytest.mark.parametrize(
+    "output, extra, named",
+    [
+        ("r.labels", [], "the labels file of --output and --output"),
+        ("data.csv", [], "--output and --input"),
+        ("data.json", ["--labels", "data.labels"], "the labels file of --output and --labels"),
+    ],
+    ids=["report-is-its-labels", "report-is-input", "labels-are-truth"],
+)
+def test_cluster_output_that_is_another_file_is_usage_error(
+    tmp_path, synth_files, capsys, output, extra, named
+):
+    before = {path: path.read_bytes() for path in tmp_path.iterdir()}
+    rc = run_cli(
+        "cluster", "--algorithm", "sssc", "--input", str(tmp_path / "data.csv"),
+        "--k", "2", "--p", "40", "--seed", "0", "--output", str(tmp_path / output),
+        *(str(tmp_path / x) if x.startswith("data") else x for x in extra),
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert err.count("\n") == 1
+    assert err.startswith(f"subclust: error: {named} are the same file")
+    assert {path: path.read_bytes() for path in tmp_path.iterdir()} == before
+
+
 def test_cluster_k_above_p_is_usage_error(tmp_path, synth_files, capsys):
     data, _ = synth_files
     out = tmp_path / "x.json"
@@ -798,6 +856,83 @@ def test_bad_config_values_never_end_in_a_traceback(tmp_path_factory, data):
     assert rc in (1, 2)
     assert "Traceback" not in err.getvalue()
     assert err.getvalue().count("\n") == 1
+
+
+def _ends_in_one_line_at_most(*argv):
+    """Run the CLI; it must exit 0 in silence, or 1 or 2 with one stderr line
+    (an exception or a warning, which the suite turns into one, fails it)."""
+    err = io.StringIO()
+    with contextlib.redirect_stderr(err), contextlib.redirect_stdout(io.StringIO()):
+        rc = run_cli(*argv)
+    assert rc in (0, 1, 2)
+    assert err.getvalue().count("\n") == (rc != 0)
+
+
+def _ints(lo, hi, size=None):
+    """Flag values: one integer in [lo, hi], or a list of ``size`` of them
+    (any size up to 4 when ``size`` is 0)."""
+    if size is None:
+        return st.integers(lo, hi).map(lambda v: [str(v)])
+    lists = st.lists(st.integers(lo, hi), min_size=size, max_size=size or 4)
+    return lists.map(lambda vs: [",".join(map(str, vs))])
+
+
+def _flags(data, valid: dict, broken: str | None, whole) -> list:
+    """Each flag drawn from its ``valid`` values, except ``broken``, drawn
+    from ``whole``, its bounded full range; an empty draw leaves the flag out.
+    One value goes as ``--flag=value``, so that "-1e+300" reads as a value."""
+    argv = []
+    for flag, values in valid.items():
+        drawn = data.draw(whole if flag == broken else values)
+        if len(drawn) == 1:
+            argv.append(f"{flag}={drawn[0]}")
+        elif drawn:
+            argv += [flag, *drawn]
+    return argv
+
+
+EXTREMES = [1e308, -1e308, float("inf"), float("-inf"), float("nan")]
+REALS = st.one_of(st.sampled_from(EXTREMES), st.floats()).map(lambda v: [str(v)])
+FRACTIONS = st.floats(0, 1).map(lambda v: [str(v)])
+SYNTH_RANGES = {
+    "--k": _ints(-1, 5), "--ambient": _ints(-2, 200), "--dims": _ints(-1, 60, 0),
+    "--points": _ints(-1, 100, 0), "--noise-sigma": REALS, "--corrupt-frac": REALS,
+    "--seed": _ints(-2, 10**6),
+}
+BENCH_NS = st.lists(st.integers(40, 200), min_size=1, max_size=2).map(lambda ns: [*map(str, ns)])
+BENCH_RANGES = {
+    "--n": st.lists(st.integers(-2, 300), min_size=1, max_size=3).map(lambda ns: [*map(str, ns)]),
+    "--p": _ints(-2, 80), "--k": _ints(-1, 5), "--ambient": _ints(-2, 100),
+    "--dim": _ints(-1, 10), "--repeats": _ints(-1, 2), "--seed": _ints(-2, 10**6),
+    "--lambda": REALS,
+}
+
+
+@pytest.mark.parametrize("broken", [None, *SYNTH_RANGES])
+@settings(derandomize=True, max_examples=15, deadline=None)
+@given(data=st.data())
+def test_synth_flag_values_never_end_in_a_traceback(tmp_path_factory, broken, data):
+    k = data.draw(st.integers(1, 4))
+    valid = {
+        "--k": st.just([str(k)]), "--ambient": _ints(40, 120), "--dims": _ints(1, 10, k),
+        "--points": _ints(10, 60, k), "--noise-sigma": FRACTIONS,
+        "--corrupt-frac": FRACTIONS, "--seed": _ints(0, 10**6),
+    }
+    argv = _flags(data, valid, broken, SYNTH_RANGES.get(broken))
+    out = tmp_path_factory.mktemp("synth") / "d.csv"
+    _ends_in_one_line_at_most("synth", *argv, "--out", str(out))
+
+
+@pytest.mark.parametrize("broken", [None, *BENCH_RANGES])
+@settings(derandomize=True, max_examples=8, deadline=None)
+@given(data=st.data())
+def test_bench_flag_values_never_end_in_a_traceback(broken, data):
+    valid = {
+        "--n": BENCH_NS, "--p": _ints(4, 40), "--k": _ints(1, 4), "--ambient": _ints(20, 100),
+        "--dim": _ints(1, 5), "--repeats": _ints(1, 2), "--seed": _ints(0, 10**6),
+        "--algorithm": st.sampled_from([["sssc"], ["slrr"]]), "--lambda": st.just([]),
+    }
+    _ends_in_one_line_at_most("bench", *_flags(data, valid, broken, BENCH_RANGES.get(broken)))
 
 
 def test_cluster_non_convergence_exits_3_with_report(tmp_path, synth_files):

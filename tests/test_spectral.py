@@ -36,12 +36,12 @@ def block_coefficients(sizes, value=1.0):
 
 def test_affinity_zero_matrix():
     A = build_affinity(np.zeros((3, 3)))
-    assert not A.values.any()
+    assert not A.any()
 
 
 def test_affinity_hand_case():
     C = np.array([[0.0, -2.0], [1.0, 0.0]])
-    np.testing.assert_array_equal(build_affinity(C).values, [[0.0, 3.0], [3.0, 0.0]])
+    np.testing.assert_array_equal(build_affinity(C), [[0.0, 3.0], [3.0, 0.0]])
 
 
 def test_affinity_rejects_non_square():
@@ -53,7 +53,7 @@ def test_affinity_rejects_non_square():
 @given(st.integers(min_value=1, max_value=8), st.integers(min_value=0, max_value=10**6))
 def test_affinity_symmetric_nonnegative(n, seed):
     C = np.random.default_rng(seed).standard_normal((n, n))
-    A = build_affinity(C).values
+    A = build_affinity(C)
     assert np.array_equal(A, A.T)
     assert A.min() >= 0
 
@@ -112,15 +112,15 @@ def test_laplacian_null_space_counts_components():
 
 
 def test_eigvecs_of_zero_matrix():
-    emb = smallest_eigenvectors(np.zeros((3, 3)), 2)
-    np.testing.assert_allclose(emb.eigenvalues, [0.0, 0.0], atol=1e-12)
-    np.testing.assert_allclose(emb.V.T @ emb.V, np.eye(2), atol=1e-10)
+    eigenvalues, V = smallest_eigenvectors(np.zeros((3, 3)), 2)
+    np.testing.assert_allclose(eigenvalues, [0.0, 0.0], atol=1e-12)
+    np.testing.assert_allclose(V.T @ V, np.eye(2), atol=1e-10)
 
 
 def test_eigvecs_diagonal_case():
-    emb = smallest_eigenvectors(np.diag([0.0, 1.0, 2.0]), 1)
-    assert emb.eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
-    np.testing.assert_allclose(np.abs(emb.V[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
+    eigenvalues, V = smallest_eigenvectors(np.diag([0.0, 1.0, 2.0]), 1)
+    assert eigenvalues[0] == pytest.approx(0.0, abs=1e-12)
+    np.testing.assert_allclose(np.abs(V[:, 0]), [1.0, 0.0, 0.0], atol=1e-12)
 
 
 def test_eigvecs_span_component_indicators():
@@ -128,29 +128,31 @@ def test_eigvecs_span_component_indicators():
     C = block_coefficients(sizes)
     A = build_affinity(C)
     L = normalized_laplacian(A)
-    emb = smallest_eigenvectors(L, 2)
+    _, V = smallest_eigenvectors(L, 2)
     # null space is spanned by D^{1/2} * component indicators
-    d = A.values.sum(axis=1)
+    d = A.sum(axis=1)
     indicators = np.zeros((7, 2))
     indicators[:3, 0] = np.sqrt(d[:3])
     indicators[3:, 1] = np.sqrt(d[3:])
     indicators /= np.linalg.norm(indicators, axis=0)
     # projection residual of the computed basis onto the indicator span
-    proj = indicators @ (indicators.T @ emb.V)
-    assert np.linalg.norm(proj - emb.V) <= 1e-6
+    proj = indicators @ (indicators.T @ V)
+    assert np.linalg.norm(proj - V) <= 1e-6
 
 
 def test_eigvecs_lanczos_agrees_with_dense(monkeypatch):
     rng = np.random.default_rng(1)
     C = rng.standard_normal((40, 40))
     L = normalized_laplacian(build_affinity(C))
-    dense = smallest_eigenvectors(L, 3)
+    dense_values, dense = smallest_eigenvectors(L, 3)
     monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 10)  # 40 rows take Lanczos
-    lanczos = smallest_eigenvectors(L, 3)
-    np.testing.assert_allclose(lanczos.eigenvalues, dense.eigenvalues, atol=1e-8)
+    lanczos_values, lanczos = smallest_eigenvectors(L, 3)
+    np.testing.assert_allclose(lanczos_values, dense_values, atol=1e-8)
+    assert np.all(np.diff(lanczos_values) >= 0)  # ascending
+    np.testing.assert_allclose(lanczos.T @ lanczos, np.eye(3), atol=1e-8)
     # compare spans, not signs
-    proj = dense.V @ (dense.V.T @ lanczos.V)
-    np.testing.assert_allclose(proj, lanczos.V, atol=1e-6)
+    proj = dense @ (dense.T @ lanczos)
+    np.testing.assert_allclose(proj, lanczos, atol=1e-6)
 
 
 def test_eigvecs_validates_input():
