@@ -27,6 +27,7 @@ import inspect
 import json
 import math
 import operator
+import re
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -39,7 +40,6 @@ from . import dataio, metrics, oos, spectral
 from .errors import DataFormatError, SubclustError, UnassignableSampleError
 from .lowrank import ERROR_NORMS, LrrConfig, outlier_columns, solve_lrr
 from .sparse_coding import SparseSelfRepConfig, sparse_self_representation
-from .types import ClusterAssignment, DataMatrix
 
 ALGORITHMS = ("sssc", "slrr", "ssc", "lrr")
 # out-of-sample coding modes, in the order the command line lists them
@@ -172,11 +172,14 @@ def _output_path(path, flag: str, taken: dict) -> Path:
 @dataclass
 class Model:
     """What ``fit`` learns from the in-sample points; ``assign`` labels
-    further points against it. ``dictionary`` is None when p = n."""
+    further points against it. ``in_sample`` and ``out_of_sample`` are the
+    sorted column indices of ``dataio.uniform_split``. ``dictionary`` is
+    None when p = n."""
 
     config: RunConfig
-    split: dataio.SampleSplit
-    labels: np.ndarray  # of the in-sample points, in split.in_sample order
+    in_sample: np.ndarray
+    out_of_sample: np.ndarray
+    labels: np.ndarray  # of the in-sample points, in in_sample order
     dictionary: oos.ClassDictionary | None
     solver: dict
     converged: bool
@@ -186,7 +189,7 @@ class Model:
 
 @dataclass
 class RunReport:
-    labels: ClusterAssignment
+    labels: np.ndarray
     stage_seconds: dict
     total_seconds: float
     model: Model
@@ -199,9 +202,9 @@ class RunReport:
         return {
             "schema": "subclust-report-v1",
             "algorithm": cfg.algorithm,
-            "n": self.labels.n,
+            "n": self.labels.size,
             "k": cfg.k,
-            "p": model.split.p,
+            "p": model.in_sample.size,
             "seed": cfg.seed,
             "parameters": {
                 _key(f): getattr(cfg, f.name)
@@ -218,9 +221,9 @@ class RunReport:
         }
 
 
-def fit(cfg: RunConfig, data: DataMatrix) -> Model:
-    """Sample p columns of ``data``, cluster them and build the dictionary
-    that the other n - p columns are assigned against."""
+def fit(cfg: RunConfig, data: np.ndarray) -> Model:
+    """Sample p columns of the (m, n) array ``data``, cluster them and build
+    the dictionary that the other n - p columns are assigned against."""
     sparse = cfg.algorithm in ("sssc", "ssc")
     # under slrr/lrr --lambda weighs the LRR error term, so sparse
     # out-of-sample coding takes the sssc default l1 weight instead
@@ -229,7 +232,7 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
         delta=cfg.delta,
         max_iterations=cfg.lasso_max_iterations,
     )
-    n = data.n
+    n = data.shape[1]
     if n < 2:  # self-representation needs two in-sample points
         raise DataFormatError(f"clustering needs at least 2 samples, got {n}")
     # ssc and lrr are sssc and slrr on the whole data set
@@ -244,10 +247,10 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
         )
 
     t0 = time.perf_counter()
-    split = dataio.uniform_split(n, p, cfg.seed)
+    in_sample, out_of_sample = dataio.uniform_split(n, p, cfg.seed)
     t_sampling = time.perf_counter()
 
-    X = DataMatrix(data.values[:, split.in_sample])
+    X = data[:, in_sample]
     if sparse:
         C, reports = sparse_self_representation(X, lasso_cfg)
         n_conv = sum(r.converged for r in reports)
@@ -272,24 +275,23 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
             "residual": solution.report.residual_norm,
         }
         converged = solution.report.converged
-    labels = spectral.spectral_cluster(C, cfg.k, cfg.seed).labels
+    labels = spectral.spectral_cluster(C, cfg.k, cfg.seed)
     keep = np.arange(p)
     excluded: list = []
-    if not sparse and split.out_of_sample.size:
+    if not sparse and out_of_sample.size:
         # drop corrupted in-sample columns from the dictionary; the floor
         # keeps solver noise from flagging columns on clean data
-        floor = 1e-3 * float(np.median(np.linalg.norm(X.values, axis=0)))
+        floor = 1e-3 * float(np.median(np.linalg.norm(X, axis=0)))
         flagged = outlier_columns(solution.E, floor=floor)
         if 0 < flagged.size < p:
             keep = np.setdiff1d(keep, flagged)
-            excluded = split.in_sample[flagged].tolist()
+            excluded = in_sample[flagged].tolist()
     t_insample = time.perf_counter()
 
     dictionary = None
-    if split.out_of_sample.size:
+    if out_of_sample.size:
         dictionary = oos.build_dictionary(
-            DataMatrix(X.values[:, keep]),
-            ClusterAssignment(labels[keep], cfg.k),
+            X[:, keep], labels[keep], cfg.k,
             gamma=cfg.gamma,
             lasso_cfg=lasso_cfg if cfg.oos_coding == "sparse" else None,
         )
@@ -299,27 +301,27 @@ def fit(cfg: RunConfig, data: DataMatrix) -> Model:
         "dictionary": time.perf_counter() - t_insample,
     }
     return Model(
-        config=cfg, split=split, labels=labels, dictionary=dictionary,
+        config=cfg, in_sample=in_sample, out_of_sample=out_of_sample,
+        labels=labels, dictionary=dictionary,
         solver=solver, converged=converged,
         excluded_columns=excluded, stage_seconds=stage_seconds,
     )
 
 
-def assign(model: Model, values: np.ndarray, columns: np.ndarray) -> tuple[ClusterAssignment, dict]:
+def assign(model: Model, values: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, dict]:
     """Code the given ``columns`` of ``values`` over the model's dictionary
     and label each by its smallest class residual, without solving the
-    in-sample problem again. Also returns the ``coding`` and
-    ``classifying`` seconds.
+    in-sample problem again. Returns the labels, one per column, and the
+    ``coding`` and ``classifying`` seconds.
 
     Queries are taken ``oos.QUERY_CHUNK`` columns at a time, so no code
     matrix or copy of the queries larger than one block is formed. Columns
     that no class can reconstruct are gathered over all blocks and raised
     as one UnassignableSampleError, which names them as 1-based data rows.
     """
-    cfg = model.config
     seconds = {"coding": 0.0, "classifying": 0.0}
     if model.dictionary is None:  # p = n leaves no point to assign
-        return ClusterAssignment(np.empty(0, dtype=int), cfg.k), seconds
+        return np.empty(0, dtype=int), seconds
     labels = np.empty(len(columns), dtype=int)
     bad: list = []
     for s in range(0, len(columns), oos.QUERY_CHUNK):
@@ -329,7 +331,7 @@ def assign(model: Model, values: np.ndarray, columns: np.ndarray) -> tuple[Clust
         codes = oos.code_batch(model.dictionary, V)
         t_coding = time.perf_counter()
         try:
-            labels[s : s + block.size] = oos.classify_codes(model.dictionary, V, codes).labels
+            labels[s : s + block.size] = oos.classify_codes(model.dictionary, V, codes)
         except UnassignableSampleError as exc:
             bad.extend(block[exc.columns].tolist())
         seconds["coding"] += t_coding - t0
@@ -339,13 +341,14 @@ def assign(model: Model, values: np.ndarray, columns: np.ndarray) -> tuple[Clust
         shown = ", ".join(map(str, rows[:10]))
         more = f" and {len(rows) - 10} more" if len(rows) > 10 else ""
         raise UnassignableSampleError(bad, where=f"data row(s) {shown}{more}")
-    return ClusterAssignment(labels, cfg.k), seconds
+    return labels, seconds
 
 
-def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | None = None) -> RunReport:
-    """Run the configured pipeline on an in-memory matrix: PCA when asked
-    for, ``fit`` on the in-sample points, then ``assign`` on the rest."""
-    flat = data.values.ravel(order="K")
+def run_pipeline(cfg: RunConfig, data: np.ndarray, truth: np.ndarray | None = None) -> RunReport:
+    """Run the configured pipeline on an in-memory (m, n) array: PCA when
+    asked for, ``fit`` on the in-sample points, then ``assign`` on the rest.
+    ``truth``, labels in [0, k) one per column, is scored against when given."""
+    flat = data.ravel(order="K")
     with np.errstate(over="ignore"):  # the overflow is what is tested for
         sum_sq = np.dot(flat, flat)
     if not np.isfinite(sum_sq):
@@ -354,21 +357,20 @@ def run_pipeline(cfg: RunConfig, data: DataMatrix, truth: ClusterAssignment | No
         data = dataio.pca_retain_energy(data, cfg.pca_energy)
     t0 = time.perf_counter()
     model = fit(cfg, data)
-    out = model.split.out_of_sample
-    labels_out, seconds = assign(model, data.values, out)
-    labels = np.empty(data.n, dtype=int)
-    labels[model.split.in_sample] = model.labels
-    labels[out] = labels_out.labels
-    assignment = ClusterAssignment(labels, cfg.k)
+    out = model.out_of_sample
+    labels_out, seconds = assign(model, data, out)
+    labels = np.empty(data.shape[1], dtype=int)
+    labels[model.in_sample] = model.labels
+    labels[out] = labels_out
     report = RunReport(
-        labels=assignment,
+        labels=labels,
         stage_seconds={**model.stage_seconds, **seconds},
         total_seconds=time.perf_counter() - t0,
         model=model,
     )
     if truth is not None:
-        report.accuracy = metrics.accuracy(assignment, truth)
-        report.nmi = metrics.nmi(assignment, truth)
+        report.accuracy = metrics.accuracy(labels, truth)
+        report.nmi = metrics.nmi(labels, truth)
     return report
 
 
@@ -417,11 +419,11 @@ def cmd_synth(args) -> int:
             )
     except FloatingPointError:
         raise UsageError(f"--noise-sigma {args.noise_sigma} overflows the data") from None
-    np.savetxt(out, dataset.data.values.T, fmt="%.17g", delimiter=",")
-    labels = dataset.truth.labels.copy()
+    np.savetxt(out, dataset.data.T, fmt="%.17g", delimiter=",")
+    labels = dataset.truth.copy()
     labels[dataset.corrupted] = -1  # corrupted columns are marked -1
     _write_labels(labels_path, labels)
-    print(f"wrote {dataset.data.n} samples to {out} and labels to {labels_path}")
+    print(f"wrote {labels.size} samples to {out} and labels to {labels_path}")
     return 0
 
 
@@ -461,15 +463,15 @@ def cmd_cluster(args) -> int:
     truth = None
     if cfg.labels:
         raw = dataio.load_labels(cfg.labels)
-        if raw.size != data.n:
+        if raw.size != data.shape[1]:
             raise DataFormatError(
-                f"label file has {raw.size} entries for {data.n} samples"
+                f"label file has {raw.size} entries for {data.shape[1]} samples"
             )
         truth = dataio.labels_to_assignment(raw)
 
     report = run_pipeline(cfg, data, truth)
 
-    _write_labels(labels_path, report.labels.labels)
+    _write_labels(labels_path, report.labels)
     with open(out, "w") as fh:
         json.dump(report.to_json_dict(labels_file=labels_path), fh, indent=2)
         fh.write("\n")
@@ -519,9 +521,9 @@ def cmd_bench(args) -> int:
             points_per=points, seed=args.seed,
         )
         report = run_pipeline(cfg, dataset.data, dataset.truth)
-        out = report.model.split.out_of_sample
+        out = report.model.out_of_sample
         timings = [report.stage_seconds] + [
-            assign(report.model, dataset.data.values, out)[1] for _ in range(args.repeats - 1)
+            assign(report.model, dataset.data, out)[1] for _ in range(args.repeats - 1)
         ]
         runs.append(
             {
@@ -591,6 +593,12 @@ def cmd_eval(args) -> int:
 
 
 class _Parser(argparse.ArgumentParser):
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        # argparse reads "-1e-5" as a flag; as a negative number, it reaches
+        # the range rule that names the flag
+        self._negative_number_matcher = re.compile(r"^-(\d+|\d*\.\d+)([eE][-+]?\d+)?$")
+
     def error(self, message):  # usage errors exit 1 with one line, not argparse's 2
         self.exit(1, f"{self.prog}: error: {message}\n")
 

@@ -1,7 +1,8 @@
 """Matrix ingestion, PCA preprocessing, seeded sampling, synthetic data.
 
-CSV files are row-per-sample; internally samples are stored as columns.
-All stochastic operations take one explicit integer seed.
+CSV files are row-per-sample; internally a data set is an (m, n) float
+array whose columns are the samples, and labels are an int array with one
+entry per column. All stochastic operations take one explicit integer seed.
 """
 
 from __future__ import annotations
@@ -9,63 +10,31 @@ from __future__ import annotations
 import csv
 import io
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .errors import DataFormatError
-from .types import ClusterAssignment, DataMatrix
-
-
-@dataclass(frozen=True)
-class SampleSplit:
-    """Deterministic partition of {0..n-1} into in-sample / out-of-sample."""
-
-    in_sample: np.ndarray
-    out_of_sample: np.ndarray
-
-    def __post_init__(self):
-        ins = np.asarray(self.in_sample, dtype=int)
-        out = np.asarray(self.out_of_sample, dtype=int)
-        merged = np.sort(np.concatenate([ins, out]))
-        if not np.array_equal(merged, np.arange(merged.size)):
-            raise ValueError("index sets must be disjoint and cover 0..n-1")
-        object.__setattr__(self, "in_sample", ins)
-        object.__setattr__(self, "out_of_sample", out)
-
-    @property
-    def p(self) -> int:
-        return self.in_sample.size
 
 
 @dataclass(frozen=True)
 class LabeledDataset:
-    """Data matrix plus ground truth and generator metadata.
+    """An (m, n) data array with its ground-truth labels in [0, k).
 
-    ``corrupted`` lists the columns that were replaced by outliers.
+    ``corrupted`` lists, in ascending order, the columns that were replaced
+    by outliers.
     """
 
-    data: DataMatrix
-    truth: ClusterAssignment
-    subspace_dims: tuple
-    corrupted: np.ndarray = field(default_factory=lambda: np.empty(0, dtype=int))
-
-    def __post_init__(self):
-        if self.truth.n != self.data.n:
-            raise ValueError(
-                f"truth has {self.truth.n} labels for {self.data.n} samples"
-            )
-        if len(self.subspace_dims) != self.truth.k:
-            raise ValueError("subspace_dims length must equal the cluster count")
-        object.__setattr__(self, "subspace_dims", tuple(int(d) for d in self.subspace_dims))
-        object.__setattr__(self, "corrupted", np.asarray(self.corrupted, dtype=int))
+    data: np.ndarray
+    truth: np.ndarray
+    corrupted: np.ndarray
 
 
-def load_csv(path, has_header: bool = False) -> DataMatrix:
+def load_csv(path, has_header: bool = False) -> np.ndarray:
     """Read a CSV of real numbers, one sample per row.
 
-    Returns a DataMatrix whose columns are the file's rows, so the result
+    Returns a finite float array whose columns are the file's rows, so it
     has shape (file column count, file row count).
 
     Raises DataFormatError on text that is not UTF-8, ragged rows,
@@ -89,7 +58,7 @@ def load_csv(path, has_header: bool = False) -> DataMatrix:
         values = np.empty((0, 0))
     if values.size == 0 or not np.isfinite(values).all():
         values = _parse_csv(path, has_header)
-    return DataMatrix(values.T)
+    return values.T
 
 
 def read_text(path) -> str:
@@ -162,13 +131,13 @@ def load_labels(path) -> np.ndarray:
     return np.asarray(labels, dtype=int)
 
 
-def labels_to_assignment(raw: np.ndarray) -> ClusterAssignment:
-    """Map arbitrary integer labels (e.g. -1 corruption marks) to [0, k)."""
-    values, dense = np.unique(np.asarray(raw, dtype=int), return_inverse=True)
-    return ClusterAssignment(dense, len(values))
+def labels_to_assignment(raw: np.ndarray) -> np.ndarray:
+    """Map arbitrary integer labels (e.g. -1 corruption marks) to [0, k),
+    k the number of distinct values, in the order of the values."""
+    return np.unique(raw, return_inverse=True)[1]
 
 
-def pca_retain_energy(Y: DataMatrix, energy: float) -> DataMatrix:
+def pca_retain_energy(Y: np.ndarray, energy: float) -> np.ndarray:
     """Project onto the fewest principal directions holding `energy` of the
     squared singular-value mass of the column-centered data.
 
@@ -176,7 +145,7 @@ def pca_retain_energy(Y: DataMatrix, energy: float) -> DataMatrix:
     shape (d, n) with d the smallest count whose cumulative squared singular
     values reach energy * total.
     """
-    centered = Y.values - Y.values.mean(axis=1, keepdims=True)
+    centered = Y - Y.mean(axis=1, keepdims=True)
     U, s, _ = np.linalg.svd(centered, full_matrices=False)
     power = s * s
     total = power.sum()
@@ -187,15 +156,17 @@ def pca_retain_energy(Y: DataMatrix, energy: float) -> DataMatrix:
         target = energy * total * (1.0 - 1e-12)
         d = int(np.searchsorted(np.cumsum(power), target)) + 1
         d = min(max(d, 1), s.size)
-    return DataMatrix(U[:, :d].T @ centered)
+    return U[:, :d].T @ centered
 
 
-def uniform_split(n: int, p: int, seed: int) -> SampleSplit:
-    """Draw p of n indices uniformly without replacement; deterministic in seed."""
+def uniform_split(n: int, p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
+    """(in_sample, out_of_sample): p of the indices 0..n-1 drawn uniformly
+    without replacement and the other n - p, each sorted; deterministic in
+    seed."""
     if p < 1 or p > n:
         raise ValueError(f"p must satisfy 1 <= p <= n, got p={p}, n={n}")
     perm = np.random.default_rng(seed).permutation(n)
-    return SampleSplit(np.sort(perm[:p]), np.sort(perm[p:]))
+    return np.sort(perm[:p]), np.sort(perm[p:])
 
 
 def synth_subspaces(
@@ -260,9 +231,4 @@ def synth_subspaces(
         v = rng.standard_normal(ambient)
         data[:, j] = v / np.linalg.norm(v)
 
-    return LabeledDataset(
-        data=DataMatrix(data),
-        truth=ClusterAssignment(labels, k),
-        subspace_dims=tuple(dim_per),
-        corrupted=corrupted,
-    )
+    return LabeledDataset(data=data, truth=labels, corrupted=corrupted)

@@ -20,8 +20,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .sparse_coding import soft_threshold
-from .types import DataMatrix, SolverReport
+from .sparse_coding import SolverReport, soft_threshold
 
 ERROR_NORMS = ("l21", "l1", "fro")
 
@@ -111,12 +110,11 @@ def solve_lrr(Y, cfg: LrrConfig) -> LrrSolution:
     Hitting cfg.max_iterations returns the best (last) iterate with
     converged=False.
     """
-    Y = Y if isinstance(Y, DataMatrix) else DataMatrix(np.asarray(Y, dtype=float))
-    if Y.n < 2:
+    V = np.asarray(Y, dtype=float)
+    m, n = V.shape
+    if n < 2:
         raise ValueError("low-rank representation needs at least 2 samples")
 
-    V = Y.values
-    m, n = V.shape
     y_scale = max(1.0, float(np.linalg.norm(V)))
     tol = CONSTRAINT_TOL * y_scale
 

@@ -4,6 +4,9 @@ Accuracy matches predicted clusters to truth classes by a maximum-weight
 assignment on the contingency counts [a, b] = #{i : pred_i = a, truth_i = b}
 (shortest augmenting paths); NMI is their mutual information normalized by
 the larger entropy, with base-2 logs and the 0 log 0 = 0 convention.
+Labels are nonnegative integer arrays; each side's cluster count is read
+off its labels as max + 1, and a label value no sample takes is an empty
+cluster, which changes neither score.
 """
 
 from __future__ import annotations
@@ -12,23 +15,23 @@ import math
 
 import numpy as np
 
-from .types import ClusterAssignment
+
+def contingency(pred: np.ndarray, truth: np.ndarray) -> np.ndarray:
+    if pred.size != truth.size:
+        raise ValueError(f"label lengths differ: {pred.size} vs {truth.size}")
+    k_pred, k_truth = pred.max() + 1, truth.max() + 1
+    flat = pred * k_truth + truth
+    return np.bincount(flat, minlength=k_pred * k_truth).reshape(k_pred, k_truth)
 
 
-def contingency(pred: ClusterAssignment, truth: ClusterAssignment) -> np.ndarray:
-    if pred.n != truth.n:
-        raise ValueError(f"label lengths differ: {pred.n} vs {truth.n}")
-    flat = pred.labels * truth.k + truth.labels
-    return np.bincount(flat, minlength=pred.k * truth.k).reshape(pred.k, truth.k)
-
-
-def accuracy(pred: ClusterAssignment, truth: ClusterAssignment) -> float:
+def accuracy(pred: np.ndarray, truth: np.ndarray) -> float:
     """Fraction of samples agreeing under the best cluster-to-class mapping.
 
     The mapping is a maximum-weight matching on the contingency counts;
-    with pred.k != truth.k the surplus clusters or classes stay unmatched.
+    with unequal cluster counts the surplus clusters or classes stay
+    unmatched.
     """
-    return _max_weight_matching(contingency(pred, truth)) / pred.n
+    return _max_weight_matching(contingency(pred, truth)) / pred.size
 
 
 def _max_weight_matching(weights: np.ndarray) -> int:
@@ -76,7 +79,7 @@ def _max_weight_matching(weights: np.ndarray) -> int:
     return int(w[owner[matched], matched].sum())
 
 
-def nmi(pred: ClusterAssignment, truth: ClusterAssignment) -> float:
+def nmi(pred: np.ndarray, truth: np.ndarray) -> float:
     """MI(pred, truth) / max(H(pred), H(truth)); 0 when the max entropy is 0.
 
     Terms are evaluated symmetrically in the two marginals and accumulated
@@ -84,7 +87,7 @@ def nmi(pred: ClusterAssignment, truth: ClusterAssignment) -> float:
     float.
     """
     counts = contingency(pred, truth)
-    n = pred.n
+    n = pred.size
     p_pred = counts.sum(axis=1) / n
     p_truth = counts.sum(axis=0) / n
 

@@ -22,7 +22,6 @@ import numpy as np
 
 from .errors import UnassignableSampleError
 from .sparse_coding import LassoDictionary, SparseSelfRepConfig, lasso_dictionary, solve_lasso
-from .types import ClusterAssignment, DataMatrix
 
 # queries are coded and classified in blocks of this many columns, so the
 # working set is O((m + p) * QUERY_CHUNK) however many points are assigned
@@ -31,67 +30,61 @@ QUERY_CHUNK = 512
 
 @dataclass(frozen=True)
 class ClassDictionary:
-    """In-sample data with labels, the columns of each class, and what the
-    coding rule uses: the ridge projector, or the lasso dictionary with the
-    l1 weight and stopping rule of sparse coding."""
+    """The (m, p) in-sample data, the columns of each of its k classes, and
+    what the coding rule uses: the ridge projector, or the lasso dictionary
+    with the l1 weight and stopping rule of sparse coding."""
 
-    X: DataMatrix
-    labels: ClusterAssignment
-    class_indices: tuple = field(repr=False)
+    X: np.ndarray
+    class_indices: tuple = field(repr=False)  # one per class, possibly empty
     blocks: tuple = field(repr=False)  # X_j, the columns of class j
     projector: np.ndarray | None = None  # (p, m), equals (X^T X + gamma I)^{-1} X^T
     lasso: LassoDictionary | None = None
     lasso_cfg: SparseSelfRepConfig | None = None
 
-    @property
-    def k(self) -> int:
-        return self.labels.k
-
-    @property
-    def p(self) -> int:
-        return self.X.n
-
 
 def build_dictionary(
-    X, labels: ClusterAssignment, gamma: float = 1e-6,
+    X, labels: np.ndarray, k: int, gamma: float = 1e-6,
     lasso_cfg: SparseSelfRepConfig | None = None,
 ) -> ClassDictionary:
     """The class dictionary of ridge coding (the projector, from X's thin
-    SVD) or, when ``lasso_cfg`` is given, of sparse coding under it."""
-    X = X if isinstance(X, DataMatrix) else DataMatrix(np.asarray(X, dtype=float))
-    if labels.n != X.n:
-        raise ValueError(f"{labels.n} labels for {X.n} dictionary columns")
-    class_indices = tuple(np.flatnonzero(labels.labels == j) for j in range(labels.k))
-    blocks = tuple(X.values[:, idx] for idx in class_indices)
+    SVD) or, when ``lasso_cfg`` is given, of sparse coding under it.
+
+    ``labels`` gives each column of X its class in [0, k); a class may have
+    no columns, as when outlier exclusion has emptied it.
+    """
+    X = np.asarray(X, dtype=float)
+    if labels.size != X.shape[1]:
+        raise ValueError(f"{labels.size} labels for {X.shape[1]} dictionary columns")
+    class_indices = tuple(np.flatnonzero(labels == j) for j in range(k))
+    blocks = tuple(X[:, idx] for idx in class_indices)
     if lasso_cfg is not None:
         return ClassDictionary(
-            X=X, labels=labels, class_indices=class_indices, blocks=blocks,
+            X=X, class_indices=class_indices, blocks=blocks,
             lasso=lasso_dictionary(X), lasso_cfg=lasso_cfg,
         )
-    U, s, Wt = np.linalg.svd(X.values, full_matrices=False)
+    U, s, Wt = np.linalg.svd(X, full_matrices=False)
     return ClassDictionary(
-        X=X, labels=labels, class_indices=class_indices, blocks=blocks,
+        X=X, class_indices=class_indices, blocks=blocks,
         projector=(Wt.T * (s / (s * s + gamma))) @ U.T,
     )
 
 
 def code_batch(dictionary: ClassDictionary, Xbar) -> np.ndarray:
     """Coefficients of every query column, as a (p, n_queries) matrix."""
-    V = Xbar.values if isinstance(Xbar, DataMatrix) else np.asarray(Xbar, dtype=float)
-    if V.ndim != 2 or V.shape[0] != dictionary.X.m:
-        raise ValueError(
-            f"queries must be {dictionary.X.m} x q, got shape {V.shape}"
-        )
+    V = np.asarray(Xbar, dtype=float)
+    m, p = dictionary.X.shape
+    if V.ndim != 2 or V.shape[0] != m:
+        raise ValueError(f"queries must be {m} x q, got shape {V.shape}")
     if dictionary.lasso is None:
         return dictionary.projector @ V
-    codes = np.empty((dictionary.p, V.shape[1]))
+    codes = np.empty((p, V.shape[1]))
     for j in range(V.shape[1]):
         codes[:, j] = solve_lasso(dictionary.lasso, V[:, j], dictionary.lasso_cfg).coefficients
     return codes
 
 
-def classify_codes(dictionary: ClassDictionary, Xbar, codes: np.ndarray) -> ClusterAssignment:
-    """Residual-argmin labels for pre-computed codes, one class at a time.
+def classify_codes(dictionary: ClassDictionary, Xbar, codes: np.ndarray) -> np.ndarray:
+    """Residual-argmin labels in [0, k) for pre-computed codes, one class at a time.
 
     Class j reconstructs a query from the coefficients of its own columns
     only. Under ridge coding the residuals are regularized: divided by the
@@ -100,11 +93,11 @@ def classify_codes(dictionary: ClassDictionary, Xbar, codes: np.ndarray) -> Clus
     Queries whose every class residual is +inf raise UnassignableSampleError,
     which lists their positions in ``Xbar``.
     """
-    V = Xbar.values if isinstance(Xbar, DataMatrix) else np.asarray(Xbar, dtype=float)
+    V = np.asarray(Xbar, dtype=float)
     q = V.shape[1]
     if q == 0:
-        return ClusterAssignment(np.empty(0, dtype=int), dictionary.k)
-    residuals = np.full((dictionary.k, q), np.inf)
+        return np.empty(0, dtype=int)
+    residuals = np.full((len(dictionary.class_indices), q), np.inf)
     for j, (idx, block) in enumerate(zip(dictionary.class_indices, dictionary.blocks)):
         coeffs = codes[idx, :]
         # X_j c_j in V's memory order, so that R -= V walks both arrays alike
@@ -120,4 +113,4 @@ def classify_codes(dictionary: ClassDictionary, Xbar, codes: np.ndarray) -> Clus
     bad = np.flatnonzero(~np.any(np.isfinite(residuals), axis=0))
     if bad.size:
         raise UnassignableSampleError(bad.tolist())
-    return ClusterAssignment(np.argmin(residuals, axis=0), dictionary.k)
+    return np.argmin(residuals, axis=0)

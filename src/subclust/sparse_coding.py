@@ -30,8 +30,6 @@ from math import sqrt
 
 import numpy as np
 
-from .types import DataMatrix, SolverReport
-
 # entries smaller than this are snapped to exact zero when forming supports
 SNAP_TOL = 1e-12
 
@@ -57,6 +55,21 @@ class SparseSelfRepConfig:
     delta: float = 1e-3
     max_iterations: int = 20000
     kkt_tol: float = 1e-4
+
+
+@dataclass(frozen=True)
+class SolverReport:
+    """Outcome of one iterative solve.
+
+    ``residual_norm`` is the solver's own convergence residual: the data
+    residual ||y - Dc||_2 for the l1 solver, the worst relative constraint
+    residual for the low-rank solver.
+    """
+
+    iterations: int
+    objective: float
+    residual_norm: float
+    converged: bool
 
 
 @dataclass(frozen=True)
@@ -95,7 +108,7 @@ def lasso_dictionary(dictionary) -> LassoDictionary:
     Zeroing a column of D cannot raise its spectral norm, so the result also
     serves every problem that excludes one column (``solve_lasso(exclude=i)``).
     """
-    D = dictionary.values if isinstance(dictionary, DataMatrix) else np.asarray(dictionary, dtype=float)
+    D = np.asarray(dictionary, dtype=float)
     if D.ndim != 2:
         raise ValueError("dictionary must be a matrix")
     m, p = D.shape
@@ -254,14 +267,13 @@ def sparse_self_representation(Y, cfg: SparseSelfRepConfig):
     Returns the (n, n) coefficient matrix and the list of per-column
     SolverReports.
     """
-    Y = Y if isinstance(Y, DataMatrix) else DataMatrix(np.asarray(Y, dtype=float))
-    if Y.n < 2:
+    prep = lasso_dictionary(Y)
+    n = prep.D.shape[1]
+    if n < 2:
         raise ValueError("self-representation needs at least 2 samples")
 
-    n = Y.n
     C = np.zeros((n, n))
     reports = []
-    prep = lasso_dictionary(Y)
     for i in range(n):
         code = solve_lasso(prep, prep.D[:, i], cfg, exclude=i)
         C[:, i] = code.coefficients

@@ -11,7 +11,6 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import DegenerateAffinityError
-from .types import ClusterAssignment
 
 # above this size the eigensolver switches to a Lanczos iteration
 DENSE_EIG_LIMIT = 4000
@@ -120,8 +119,9 @@ def _lloyd(points: np.ndarray, centers: np.ndarray):
     return labels, centers, prev_obj
 
 
-def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterAssignment:
-    """Best-of-KMEANS_RESTARTS Lloyd iterations from k-means++ seeding.
+def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
+    """Labels in [0, k) from the best of KMEANS_RESTARTS Lloyd iterations
+    from k-means++ seeding.
 
     Each restart draws from its own generator seeded by (seed, restart), so
     the result does not depend on evaluation order. Ties between restarts go
@@ -143,10 +143,10 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> ClusterAssignment:
         if obj < best_obj:
             best_obj = obj
             best_labels = labels
-    return ClusterAssignment(best_labels, k)
+    return best_labels
 
 
-def spectral_cluster(C: np.ndarray, k: int, seed: int) -> ClusterAssignment:
+def spectral_cluster(C: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Affinity -> Laplacian -> bottom-k eigenvectors -> k-means.
 
     Each embedding row is scaled to unit length before k-means (zero rows

@@ -24,7 +24,7 @@ from subclust import lowrank
 from subclust.errors import UnassignableSampleError
 from subclust.lowrank import LrrConfig, _error_prox, _error_value, svt
 from subclust.sparse_coding import SNAP_TOL, soft_threshold
-from subclust.types import SolverReport
+from subclust.sparse_coding import SolverReport
 
 
 def lasso_objective(D, y, lam, c):
@@ -300,12 +300,12 @@ def class_residuals(dictionary, xbar, cbar, regularized=True):
     """
     xbar = np.asarray(xbar, dtype=float).ravel()
     cbar = np.asarray(cbar, dtype=float).ravel()
-    if cbar.size != dictionary.p:
+    if cbar.size != dictionary.X.shape[1]:
         raise ValueError(
-            f"code has length {cbar.size}, dictionary has {dictionary.p} columns"
+            f"code has length {cbar.size}, dictionary has {dictionary.X.shape[1]} columns"
         )
-    V = dictionary.X.values
-    out = np.empty(dictionary.k)
+    V = dictionary.X
+    out = np.empty(len(dictionary.class_indices))
     for j, idx in enumerate(dictionary.class_indices):
         coeffs = cbar[idx]
         norm_j = float(np.linalg.norm(coeffs))

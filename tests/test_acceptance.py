@@ -27,7 +27,6 @@ from subclust.sparse_coding import (
     solve_lasso,
     sparse_self_representation,
 )
-from subclust.types import ClusterAssignment
 
 
 @contextmanager
@@ -53,10 +52,10 @@ def theorem3_instance(k, seed):
     return dataset, dims
 
 
-def assert_rank_coverage(dataset, split, dims):
+def assert_rank_coverage(dataset, in_sample, dims):
     """Assumption check: the sample spans every subspace's full dimension."""
-    X = dataset.data.values[:, split.in_sample]
-    labels = dataset.truth.labels[split.in_sample]
+    X = dataset.data[:, in_sample]
+    labels = dataset.truth[in_sample]
     for i, d in enumerate(dims):
         cols = X[:, labels == i]
         assert cols.shape[1] >= d
@@ -66,9 +65,9 @@ def assert_rank_coverage(dataset, split, dims):
 def run_cluster_cli(tmp_path, dataset, algorithm, k, p, seed, tag):
     data_path = tmp_path / f"{tag}.csv"
     labels_path = tmp_path / f"{tag}.truth"
-    np.savetxt(data_path, dataset.data.values.T, fmt="%.17g", delimiter=",")
+    np.savetxt(data_path, dataset.data.T, fmt="%.17g", delimiter=",")
     with open(labels_path, "w") as fh:
-        for lab in dataset.truth.labels:
+        for lab in dataset.truth:
             fh.write(f"{lab}\n")
     report_path = tmp_path / f"{tag}.json"
     rc = main(
@@ -90,10 +89,10 @@ def test_criterion_1_theorem3_sssc_exactness(tmp_path):
         for k in (2, 3, 5):
             for seed in range(10):
                 dataset, dims = theorem3_instance(k, seed)
-                n = dataset.data.n
+                n = dataset.data.shape[1]
                 p = n // 2
-                split = dataio.uniform_split(n, p, seed)
-                assert_rank_coverage(dataset, split, dims)
+                in_sample, _ = dataio.uniform_split(n, p, seed)
+                assert_rank_coverage(dataset, in_sample, dims)
                 t0 = time.perf_counter()
                 report = run_cluster_cli(
                     tmp_path, dataset, "sssc", k, p, seed, f"c1_{k}_{seed}"
@@ -110,10 +109,10 @@ def test_criterion_2_theorem3_slrr_exactness(tmp_path):
             exact_seeds = 0
             for seed in range(10):
                 dataset, dims = theorem3_instance(k, seed)
-                n = dataset.data.n
+                n = dataset.data.shape[1]
                 p = n // 2
-                split = dataio.uniform_split(n, p, seed)
-                assert_rank_coverage(dataset, split, dims)
+                in_sample, _ = dataio.uniform_split(n, p, seed)
+                assert_rank_coverage(dataset, in_sample, dims)
                 t0 = time.perf_counter()
                 report = run_cluster_cli(
                     tmp_path, dataset, "slrr", k, p, seed, f"c2_{k}_{seed}"
@@ -130,7 +129,7 @@ def test_criterion_3_affinity_block_structure():
         dataset = dataio.synth_subspaces(
             k=2, ambient=50, dim_per=[4, 4], points_per=[40, 40], seed=1
         )
-        labels = dataset.truth.labels
+        labels = dataset.truth
         inter = labels[:, None] != labels[None, :]
 
         cfg = SparseSelfRepConfig(lam=1e-5, delta=0.0, kkt_tol=1e-6)
@@ -154,9 +153,9 @@ def test_criterion_4_corruption_support_recovery():
                 corrupt_frac=eps, seed=seed,
             )
             planted = set(dataset.corrupted.tolist())
-            p = dataset.data.n
+            p = dataset.data.shape[1]
             lam = 3.0 / (
-                7.0 * np.linalg.norm(dataset.data.values, 2) * np.sqrt(eps * p)
+                7.0 * np.linalg.norm(dataset.data, 2) * np.sqrt(eps * p)
             )
             solution = solve_lrr(dataset.data, LrrConfig(lam=lam, error_norm="l21"))
             flagged = set(outlier_columns(solution.E).tolist())
@@ -221,16 +220,16 @@ def test_criterion_6_metric_oracles():
         for _ in range(100):
             n = int(rng.integers(1, 40))
             k_pred, k_truth = (int(k) for k in rng.integers(1, 8, size=2))
-            pred = ClusterAssignment(rng.integers(0, k_pred, n), k_pred)
-            truth = ClusterAssignment(rng.integers(0, k_truth, n), k_truth)
+            pred = rng.integers(0, k_pred, n)
+            truth = rng.integers(0, k_truth, n)
             counts = metrics.contingency(pred, truth)
             padded = np.zeros((max(k_pred, k_truth),) * 2)
-            padded[:k_pred, :k_truth] = counts
+            padded[: counts.shape[0], : counts.shape[1]] = counts
             matched = -brute_force_assignment_cost(-padded)
             assert metrics.accuracy(pred, truth) == matched / n
 
-        pred = ClusterAssignment([0, 0, 1, 1], 2)
-        truth = ClusterAssignment([0, 1, 0, 1], 2)
+        pred = np.array([0, 0, 1, 1])
+        truth = np.array([0, 1, 0, 1])
         assert metrics.accuracy(pred, truth) == 0.5
         assert metrics.nmi(pred, truth) == 0.0
         assert metrics.accuracy(pred, pred) == 1.0
@@ -241,10 +240,9 @@ def test_criterion_6_metric_oracles():
             a = rng.integers(0, 4, n)
             b = rng.integers(0, 4, n)
             perm = rng.permutation(4)
-            pa, pb = ClusterAssignment(a, 4), ClusterAssignment(b, 4)
-            pa_rel = ClusterAssignment(perm[a], 4)
-            assert metrics.accuracy(pa_rel, pb) == metrics.accuracy(pa, pb)
-            assert abs(metrics.nmi(pa_rel, pb) - metrics.nmi(pa, pb)) <= 1e-12
+            a_rel = perm[a]
+            assert metrics.accuracy(a_rel, b) == metrics.accuracy(a, b)
+            assert abs(metrics.nmi(a_rel, b) - metrics.nmi(a, b)) <= 1e-12
 
 
 def test_criterion_7_linear_classification_scaling(tmp_path):
@@ -272,7 +270,7 @@ def test_criterion_8_determinism(tmp_path):
         outputs = []
         for run in range(2):
             report = run_cluster_cli(
-                tmp_path, dataset, "sssc", 3, dataset.data.n // 2, 0, f"c8_{run}"
+                tmp_path, dataset, "sssc", 3, dataset.data.shape[1] // 2, 0, f"c8_{run}"
             )
             labels_file = report["labels_file"]
             with open(labels_file, "rb") as fh:
@@ -282,7 +280,7 @@ def test_criterion_8_determinism(tmp_path):
         outputs = []
         for run in range(2):
             report = run_cluster_cli(
-                tmp_path, dataset, "slrr", 3, dataset.data.n // 2, 0, f"c8lrr_{run}"
+                tmp_path, dataset, "slrr", 3, dataset.data.shape[1] // 2, 0, f"c8lrr_{run}"
             )
             with open(report["labels_file"], "rb") as fh:
                 outputs.append(fh.read())

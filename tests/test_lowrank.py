@@ -107,7 +107,7 @@ def test_lrr_two_subspaces_block_diagonal_and_clean():
                          points_per=[40, 40], seed=1)
     sol = solve_lrr(ds.data, LrrConfig(lam=1.0))
     assert sol.report.converged
-    labels = ds.truth.labels
+    labels = ds.truth
     C = sol.C
     inter = np.abs(C)[labels[:, None] != labels[None, :]]
     assert inter.max() <= 1e-4 * np.abs(C).max()
@@ -117,8 +117,8 @@ def test_lrr_two_subspaces_block_diagonal_and_clean():
 def test_lrr_outlier_support_identified():
     ds = synth_subspaces(k=2, ambient=50, dim_per=[3, 3],
                          points_per=[150, 150], corrupt_frac=0.05, seed=0)
-    eps, p = 0.05, ds.data.n
-    lam = 3.0 / (7.0 * np.linalg.norm(ds.data.values, 2) * np.sqrt(eps * p))
+    eps, p = 0.05, ds.data.shape[1]
+    lam = 3.0 / (7.0 * np.linalg.norm(ds.data, 2) * np.sqrt(eps * p))
     sol = solve_lrr(ds.data, LrrConfig(lam=lam, error_norm="l21"))
     flagged = outlier_columns(sol.E)
     np.testing.assert_array_equal(flagged, ds.corrupted)

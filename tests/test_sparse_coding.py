@@ -241,7 +241,7 @@ def test_two_subspace_representation_is_block_diagonal():
     ds = synth_subspaces(k=2, ambient=30, dim_per=[3, 3],
                          points_per=[20, 20], seed=4)
     C, _ = sparse_self_representation(ds.data, strict_cfg(1e-4, kkt_tol=1e-6))
-    labels = ds.truth.labels
+    labels = ds.truth
     inter = np.abs(C)[labels[:, None] != labels[None, :]]
     assert inter.max() <= 1e-6
 
