@@ -5,8 +5,10 @@ The clustering pipeline runs "sampling, clustering, coding, classifying".
 spectral clustering and builds the out-of-sample dictionary; ``assign``
 codes points over it and labels each by its minimal class residual.
 ``run_pipeline`` is ``fit`` then ``assign``; ``cluster`` and ``bench`` run
-it, and ``bench`` then times ``assign`` again on the same fit. ``ssc`` and
-``lrr`` are ``sssc`` and ``slrr`` with p = n.
+it, and ``bench`` then times ``assign`` again on the same fit. ``cluster``
+never holds its CSV whole: ``fit`` reads only the p sampled rows and
+``assign`` one block of rows at a time. ``ssc`` and ``lrr`` are ``sssc``
+and ``slrr`` with p = n.
 
 ``RunConfig`` is the one list of knobs: the method's parameters and the
 iteration caps. The ``cluster`` flags, the config-file keys with their
@@ -27,7 +29,9 @@ import inspect
 import json
 import math
 import operator
+import os
 import re
+import stat
 import sys
 import time
 from dataclasses import MISSING, dataclass, field, fields
@@ -47,6 +51,8 @@ CODING_MODES = ("ridge", "sparse")
 # --lambda defaults depend on the algorithm (sparse weight vs. LRR balance)
 LAMBDA_DEFAULTS = {"sssc": SparseSelfRepConfig.lam, "ssc": SparseSelfRepConfig.lam,
                    "slrr": LrrConfig.lam, "lrr": LrrConfig.lam}
+# labels written to the labels file per write call
+LABEL_BLOCK = 4096
 
 
 class UsageError(SubclustError, ValueError):
@@ -221,18 +227,14 @@ class RunReport:
         }
 
 
-def fit(cfg: RunConfig, data: np.ndarray) -> Model:
-    """Sample p columns of the (m, n) array ``data``, cluster them and build
-    the dictionary that the other n - p columns are assigned against."""
-    sparse = cfg.algorithm in ("sssc", "ssc")
-    # under slrr/lrr --lambda weighs the LRR error term, so sparse
-    # out-of-sample coding takes the sssc default l1 weight instead
-    lasso_cfg = SparseSelfRepConfig(
-        lam=cfg.lam if sparse else LAMBDA_DEFAULTS["sssc"],
-        delta=cfg.delta,
-        max_iterations=cfg.lasso_max_iterations,
-    )
-    n = data.shape[1]
+def _chunks(indices: np.ndarray) -> list:
+    """``indices`` in consecutive blocks of ``oos.QUERY_CHUNK``."""
+    return [indices[s : s + oos.QUERY_CHUNK] for s in range(0, len(indices), oos.QUERY_CHUNK)]
+
+
+def _sample_size(cfg: RunConfig, n: int) -> int:
+    """The p that ``cfg`` asks of n points; the usage and data errors that
+    only need n."""
     if n < 2:  # self-representation needs two in-sample points
         raise DataFormatError(f"clustering needs at least 2 samples, got {n}")
     # ssc and lrr are sssc and slrr on the whole data set
@@ -245,12 +247,29 @@ def fit(cfg: RunConfig, data: np.ndarray) -> Model:
         raise UsageError(
             f"--k must lie in [1, {p}], the number of in-sample points, got {cfg.k}"
         )
+    return p
+
+
+def fit(cfg: RunConfig, data) -> Model:
+    """Sample p columns of the (m, n) ``data`` (see ``dataio.column_blocks``),
+    cluster them and build the dictionary that the other n - p columns are
+    assigned against. Only the p sampled columns are read."""
+    sparse = cfg.algorithm in ("sssc", "ssc")
+    # under slrr/lrr --lambda weighs the LRR error term, so sparse
+    # out-of-sample coding takes the sssc default l1 weight instead
+    lasso_cfg = SparseSelfRepConfig(
+        lam=cfg.lam if sparse else LAMBDA_DEFAULTS["sssc"],
+        delta=cfg.delta,
+        max_iterations=cfg.lasso_max_iterations,
+    )
+    n = data.shape[1]
+    p = _sample_size(cfg, n)
 
     t0 = time.perf_counter()
     in_sample, out_of_sample = dataio.uniform_split(n, p, cfg.seed)
+    (X,) = dataio.column_blocks(data, [in_sample])
     t_sampling = time.perf_counter()
 
-    X = data[:, in_sample]
     if sparse:
         C, reports = sparse_self_representation(X, lasso_cfg)
         n_conv = sum(r.converged for r in reports)
@@ -308,26 +327,31 @@ def fit(cfg: RunConfig, data: np.ndarray) -> Model:
     )
 
 
-def assign(model: Model, values: np.ndarray, columns: np.ndarray) -> tuple[np.ndarray, dict]:
-    """Code the given ``columns`` of ``values`` over the model's dictionary
-    and label each by its smallest class residual, without solving the
-    in-sample problem again. Returns the labels, one per column, and the
+def assign(model: Model, values, columns: np.ndarray) -> tuple[np.ndarray, dict]:
+    """Code the given sorted ``columns`` of ``values`` (see
+    ``dataio.column_blocks``) over the model's dictionary and label each by
+    its smallest class residual, without solving the in-sample problem
+    again. Returns the labels, one per column, and the ``reading``,
     ``coding`` and ``classifying`` seconds.
 
-    Queries are taken ``oos.QUERY_CHUNK`` columns at a time, so no code
+    Queries are read ``oos.QUERY_CHUNK`` columns at a time, so no code
     matrix or copy of the queries larger than one block is formed. Columns
     that no class can reconstruct are gathered over all blocks and raised
     as one UnassignableSampleError, which names them as 1-based data rows.
     """
-    seconds = {"coding": 0.0, "classifying": 0.0}
+    seconds = {"coding": 0.0, "classifying": 0.0, "reading": 0.0}
     if model.dictionary is None:  # p = n leaves no point to assign
         return np.empty(0, dtype=int), seconds
     labels = np.empty(len(columns), dtype=int)
     bad: list = []
-    for s in range(0, len(columns), oos.QUERY_CHUNK):
-        block = columns[s : s + oos.QUERY_CHUNK]
-        V = values[:, block]
+    blocks = _chunks(columns)
+    reader = dataio.column_blocks(values, blocks)
+    s = 0  # where the block's labels go
+    for block in blocks:
+        t_read = time.perf_counter()
+        V = next(reader)
         t0 = time.perf_counter()
+        seconds["reading"] += t0 - t_read
         codes = oos.code_batch(model.dictionary, V)
         t_coding = time.perf_counter()
         try:
@@ -336,6 +360,7 @@ def assign(model: Model, values: np.ndarray, columns: np.ndarray) -> tuple[np.nd
             bad.extend(block[exc.columns].tolist())
         seconds["coding"] += t_coding - t0
         seconds["classifying"] += time.perf_counter() - t_coding
+        s += block.size
     if bad:
         rows = sorted(c + 1 for c in bad)  # columns of values are data rows
         shown = ", ".join(map(str, rows[:10]))
@@ -344,22 +369,48 @@ def assign(model: Model, values: np.ndarray, columns: np.ndarray) -> tuple[np.nd
     return labels, seconds
 
 
-def run_pipeline(cfg: RunConfig, data: np.ndarray, truth: np.ndarray | None = None) -> RunReport:
-    """Run the configured pipeline on an in-memory (m, n) array: PCA when
-    asked for, ``fit`` on the in-sample points, then ``assign`` on the rest.
-    ``truth``, labels in [0, k) one per column, is scored against when given."""
-    flat = data.ravel(order="K")
-    with np.errstate(over="ignore"):  # the overflow is what is tested for
-        sum_sq = np.dot(flat, flat)
-    if not np.isfinite(sum_sq):
-        raise DataFormatError("the sum of squares of the data overflows; rescale the data")
+@dataclass
+class _SumOfSquaresChecked:
+    """The columns of ``data``, read through ``blocks``, checked as they come
+    that the sum of squares of every column read so far is finite: past
+    that no solver step is."""
+
+    data: object
+    sum_sq: float = 0.0
+
+    @property
+    def shape(self) -> tuple:
+        return self.data.shape
+
+    def blocks(self, wanted):
+        for V in dataio.column_blocks(self.data, wanted):
+            flat = V.ravel(order="K")
+            with np.errstate(over="ignore"):  # the overflow is what is tested for
+                self.sum_sq += np.dot(flat, flat)
+            if not np.isfinite(self.sum_sq):
+                raise DataFormatError("the sum of squares of the data overflows; rescale the data")
+            yield V
+
+
+def run_pipeline(cfg: RunConfig, data, truth: np.ndarray | None = None) -> RunReport:
+    """Run the configured pipeline on the (m, n) ``data``: an in-memory
+    array, or a ``dataio.CsvColumns`` whose rows are parsed as they are
+    needed (see ``dataio.column_blocks``). PCA when asked for, ``fit`` on
+    the in-sample points, then ``assign`` on the rest, so without PCA every
+    column is read exactly once. ``truth``, labels in [0, k) one per
+    column, is scored against when given."""
+    n = data.shape[1]
+    _sample_size(cfg, n)  # before any column is read
+    source = _SumOfSquaresChecked(data)
     if cfg.pca_energy is not None:
-        data = dataio.pca_retain_energy(data, cfg.pca_energy)
+        # the basis needs every column; fit and assign then read them again
+        mean, basis = dataio.pca_basis(source.blocks(_chunks(np.arange(n))), cfg.pca_energy)
+        source = dataio.PcaColumns(data, mean, basis)
     t0 = time.perf_counter()
-    model = fit(cfg, data)
+    model = fit(cfg, source)
     out = model.out_of_sample
-    labels_out, seconds = assign(model, data, out)
-    labels = np.empty(data.shape[1], dtype=int)
+    labels_out, seconds = assign(model, source, out)
+    labels = np.empty(n, dtype=int)
     labels[model.in_sample] = model.labels
     labels[out] = labels_out
     report = RunReport(
@@ -379,8 +430,11 @@ def run_pipeline(cfg: RunConfig, data: np.ndarray, truth: np.ndarray | None = No
 
 
 def _write_labels(path: Path, labels: np.ndarray) -> None:
+    """One label per line, written a block at a time so that no string or
+    list the size of ``labels`` is formed."""
     with open(path, "w") as fh:
-        fh.write("".join(f"{value}\n" for value in labels.tolist()))
+        for s in range(0, labels.size, LABEL_BLOCK):
+            fh.write("".join(f"{value}\n" for value in labels[s : s + LABEL_BLOCK].tolist()))
 
 
 def _int_list(text: str, flag: str) -> list:
@@ -427,6 +481,14 @@ def cmd_synth(args) -> int:
     return 0
 
 
+def _regular_file(path, flag: str) -> str:
+    """``path``, refused unless it is a regular file: a pipe would be read
+    empty by every scan after the first."""
+    if not stat.S_ISREG(os.stat(path).st_mode):  # a missing file raises here
+        raise DataFormatError(f"{flag} {path} is not a regular file; cluster reads it more than once")
+    return path
+
+
 def _merge_config(args) -> RunConfig:
     """Defaults, then the ``--config`` file, then explicit flags."""
     values = {}
@@ -459,7 +521,7 @@ def cmd_cluster(args) -> int:
     taken = {"--input": cfg.input, "--labels": cfg.labels, "--config": args.config}
     out = _output_path(cfg.output, "--output", taken)
     labels_path = _output_path(out.with_suffix(".labels"), "the labels file of --output", taken)
-    data = dataio.load_csv(cfg.input, has_header=cfg.has_header)
+    data = dataio.scan_csv(_regular_file(cfg.input, "--input"), has_header=cfg.has_header)
     truth = None
     if cfg.labels:
         raw = dataio.load_labels(cfg.labels)

@@ -7,8 +7,9 @@ entry per column. All stochastic operations take one explicit integer seed.
 
 from __future__ import annotations
 
+import contextlib
 import csv
-import io
+import itertools
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
@@ -16,6 +17,9 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError
+
+# CsvColumns.blocks hands load_csv at most this many lines at a time
+PARSE_ROWS = 64
 
 
 @dataclass(frozen=True)
@@ -31,34 +35,106 @@ class LabeledDataset:
     corrupted: np.ndarray
 
 
-def load_csv(path, has_header: bool = False) -> np.ndarray:
+def load_csv(path, has_header: bool = False, rows=None, width=None) -> np.ndarray:
     """Read a CSV of real numbers, one sample per row.
 
-    Returns a finite float array whose columns are the file's rows, so it
-    has shape (file column count, file row count).
+    Returns a finite float array whose columns are the rows read, so it has
+    shape (file column count, rows read). A row is a line; its data row
+    number is 1-based and counts every line after any header, blank or not.
+
+    Reads the whole file by default. ``rows`` and ``width``, from a scan such
+    as ``CsvColumns.blocks``, read only the given ``(data row number, line)``
+    pairs, each of which must have the ``width`` fields of the file's first
+    data row.
 
     Raises DataFormatError on text that is not UTF-8, ragged rows,
     non-numeric cells and non-finite values (nan, inf); the message names
-    the offending byte, or data row (1-based, header excluded) and column.
+    the offending byte, or data row and column.
 
-    Well-formed files are read by ``numpy.loadtxt``. Anything it rejects,
+    Well-formed rows are parsed by ``numpy.loadtxt``. Anything it rejects,
     and any non-finite value, is re-read by the cell-by-cell parser, the
     only source of the row/column messages and of its laxer syntax (quoted
     cells, blank cells on blank lines, digit underscores).
     """
     path = Path(path)
+    if rows is None:
+        rows = list(_data_lines(path, has_header))
+        width = len(_cells(rows[0][1])) if rows else 0
     try:
         with warnings.catch_warnings():
             # an empty file is left to the parser, which names it
             warnings.filterwarnings("ignore", "loadtxt: input contained no data")
             values = np.loadtxt(
-                path, delimiter=",", ndmin=2, comments=None, skiprows=int(has_header)
+                [line for _, line in rows], delimiter=",", ndmin=2, comments=None
             )
     except ValueError:
         values = np.empty((0, 0))
-    if values.size == 0 or not np.isfinite(values).all():
-        values = _parse_csv(path, has_header)
+    if values.size == 0 or values.shape[1] != width or not np.isfinite(values).all():
+        values = _parse_rows(path, rows, width)
     return values.T
+
+
+@dataclass(frozen=True)
+class CsvColumns:
+    """The data rows of a CSV file as the columns of an (m, n) array that is
+    never held whole: ``blocks`` parses the rows asked for, and only those.
+    ``scan_csv`` makes one."""
+
+    path: Path
+    has_header: bool
+    shape: tuple  # (m, n): the first data row's field count, the data rows
+
+    def blocks(self, wanted):
+        """For each array of sorted 0-based data-row indices in ``wanted``,
+        the (m, len) float array of those rows as columns, in column-major
+        order. The arrays must come in ascending order without overlap, as
+        one scan of the file reads them all. ``load_csv`` parses the rows
+        ``PARSE_ROWS`` lines at a time, so the text held is a few lines."""
+        m, n = self.shape
+        position = 0  # data rows scanned so far
+        with contextlib.closing(_data_lines(self.path, self.has_header)) as lines:
+            for indices in wanted:
+                rows = np.empty((len(indices), m))
+                for start in range(0, len(indices), PARSE_ROWS):
+                    picked = []
+                    for row in indices[start : start + PARSE_ROWS].tolist():
+                        line = next(itertools.islice(lines, row - position, None), None)
+                        if line is None:
+                            raise DataFormatError(
+                                f"{self.path}: fewer than {n} data rows; "
+                                "the file changed while it was read"
+                            )
+                        picked.append(line)
+                        position = row + 1
+                    rows[start : start + len(picked)] = load_csv(self.path, rows=picked, width=m).T
+                yield rows.T
+
+
+def scan_csv(path, has_header: bool = False) -> CsvColumns:
+    """Count the data rows of a CSV (its non-blank lines after any header)
+    in one scan that parses none of them, and take m from the first.
+
+    Raises DataFormatError on text that is not UTF-8 and on a file with no
+    data rows. The file must stay as it is while its columns are read.
+    """
+    path = Path(path)
+    n, m = 0, 0
+    for _, line in _data_lines(path, has_header):
+        if not n:
+            m = len(_cells(line))
+        n += 1
+    if not n:
+        raise DataFormatError(f"{path}: no data rows")
+    return CsvColumns(path=path, has_header=has_header, shape=(m, n))
+
+
+def column_blocks(data, wanted):
+    """For each array of sorted column indices in ``wanted``, those columns of
+    ``data``: an in-memory (m, n) array, or a source with ``shape`` and
+    ``blocks(wanted)``, such as ``CsvColumns`` and ``PcaColumns``."""
+    if isinstance(data, np.ndarray):
+        return (data[:, indices] for indices in wanted)
+    return data.blocks(wanted)
 
 
 def read_text(path) -> str:
@@ -72,26 +148,47 @@ def read_text(path) -> str:
         ) from None
 
 
+def _cells(line: str) -> list:
+    return next(csv.reader([line]), [])
+
+
+def _data_lines(path: Path, has_header: bool):
+    """``(data row number, line)`` for each non-blank line after any header.
+
+    A line is blank when every cell of it is empty or whitespace. Only a
+    line that starts, after whitespace, with a comma or a quote needs its
+    cells split to tell.
+    """
+    try:
+        with open(path, encoding="utf-8") as fh:
+            if has_header:
+                next(fh, None)
+            for number, line in enumerate(fh, start=1):
+                start = line.lstrip()[:1]
+                if start and (start not in ',"' or any(c.strip() for c in _cells(line))):
+                    yield number, line
+    except UnicodeDecodeError:
+        read_text(path)  # raises the DataFormatError that names the first bad byte
+        raise
+
+
 def _parse_csv(path: Path, has_header: bool) -> np.ndarray:
-    """Cell-by-cell CSV parse; raises DataFormatError naming row and column."""
-    rows = []
-    row_numbers = []
-    expected = None
-    reader = csv.reader(io.StringIO(read_text(path)))
-    if has_header:
-        next(reader, None)
-    for i, row in enumerate(reader, start=1):
-        if not row or all(cell.strip() == "" for cell in row):
-            continue
-        if expected is None:
-            expected = len(row)
-        elif len(row) != expected:
-            raise DataFormatError(
-                f"{path}: row {i} has {len(row)} fields, expected {expected}"
-            )
+    """Cell-by-cell parse of a whole CSV, as (rows, m); raises
+    DataFormatError naming row and column."""
+    rows = list(_data_lines(path, has_header))
+    return _parse_rows(path, rows, len(_cells(rows[0][1])) if rows else 0)
+
+
+def _parse_rows(path: Path, rows: list, width: int) -> np.ndarray:
+    """Cell-by-cell parse of ``(data row number, line)`` pairs, as (rows,
+    width); raises DataFormatError naming row and column."""
+    values = []
+    for i, line in rows:
+        row = _cells(line)
+        if len(row) != width:
+            raise DataFormatError(f"{path}: row {i} has {len(row)} fields, expected {width}")
         try:
-            rows.append([float(cell) for cell in row])
-            row_numbers.append(i)
+            values.append([float(cell) for cell in row])
         except ValueError:
             for j, cell in enumerate(row, start=1):
                 try:
@@ -101,13 +198,13 @@ def _parse_csv(path: Path, has_header: bool) -> np.ndarray:
                         f"{path}: row {i}, column {j}: "
                         f"could not parse {cell.strip()!r} as a number"
                     ) from None
-    if not rows:
+    if not values:
         raise DataFormatError(f"{path}: no data rows")
-    values = np.asarray(rows, dtype=float)
+    values = np.asarray(values, dtype=float)
     if not np.isfinite(values).all():
         r, j = np.argwhere(~np.isfinite(values))[0]
         raise DataFormatError(
-            f"{path}: row {row_numbers[r]}, column {j + 1}: "
+            f"{path}: row {rows[r][0]}, column {j + 1}: "
             f"{values[r, j]} is not a finite number"
         )
     return values
@@ -137,17 +234,30 @@ def labels_to_assignment(raw: np.ndarray) -> np.ndarray:
     return np.unique(raw, return_inverse=True)[1]
 
 
-def pca_retain_energy(Y: np.ndarray, energy: float) -> np.ndarray:
-    """Project onto the fewest principal directions holding `energy` of the
-    squared singular-value mass of the column-centered data.
+def pca_basis(blocks, energy: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mean sample, as an (m, 1) column, and the fewest principal
+    directions, as the columns of an (m, d) basis, that hold ``energy`` of
+    the squared singular-value mass of the column-centered data.
 
-    Columns are centered by the mean sample before the SVD. The output has
-    shape (d, n) with d the smallest count whose cumulative squared singular
+    The data comes as an iterable of (m, ·) column blocks and is never held
+    whole: each block's mean and centered m x m scatter are merged into the
+    running ones (Chan, Golub & LeVeque's pairwise update), and ``eigh`` of
+    the total scatter gives the squared singular values and their
+    directions. d is the smallest count whose cumulative squared singular
     values reach energy * total.
     """
-    centered = Y - Y.mean(axis=1, keepdims=True)
-    U, s, _ = np.linalg.svd(centered, full_matrices=False)
-    power = s * s
+    count, mean, scatter = 0, 0.0, 0.0
+    for V in blocks:
+        size = V.shape[1]
+        block_mean = V.mean(axis=1, keepdims=True)
+        centered = V - block_mean
+        delta = block_mean - mean
+        total = count + size
+        scatter = scatter + centered @ centered.T + (delta @ delta.T) * (count * size / total)
+        mean = mean + delta * (size / total)
+        count = total
+    power, directions = np.linalg.eigh(scatter)
+    power, directions = np.maximum(power[::-1], 0.0), directions[:, ::-1]
     total = power.sum()
     if total <= 0.0:
         d = 1
@@ -155,8 +265,39 @@ def pca_retain_energy(Y: np.ndarray, energy: float) -> np.ndarray:
         # tiny slack so energy=1.0 stops at the numerical rank
         target = energy * total * (1.0 - 1e-12)
         d = int(np.searchsorted(np.cumsum(power), target)) + 1
-        d = min(max(d, 1), s.size)
-    return U[:, :d].T @ centered
+        d = min(max(d, 1), min(power.size, count))
+    return mean, directions[:, :d]
+
+
+@dataclass(frozen=True)
+class PcaColumns:
+    """The columns of ``data`` (an array or another column source, see
+    ``column_blocks``) centered by ``mean`` and projected onto ``basis``,
+    as ``pca_basis`` gives them; each block is projected as it is read."""
+
+    data: object
+    mean: np.ndarray
+    basis: np.ndarray
+
+    @property
+    def shape(self) -> tuple:
+        return self.basis.shape[1], self.data.shape[1]
+
+    def project(self, V: np.ndarray) -> np.ndarray:
+        """The (d, q) coordinates of the (m, q) columns V, in column-major
+        order like the column blocks of a loaded CSV."""
+        return ((V - self.mean).T @ self.basis).T
+
+    def blocks(self, wanted):
+        for V in column_blocks(self.data, wanted):
+            yield self.project(V)
+
+
+def pca_retain_energy(Y: np.ndarray, energy: float) -> np.ndarray:
+    """The in-memory (m, n) array Y projected as ``pca_basis`` of its
+    columns says: an array of shape (d, n)."""
+    mean, basis = pca_basis([Y], energy)
+    return PcaColumns(Y, mean, basis).project(Y)
 
 
 def uniform_split(n: int, p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -16,7 +16,7 @@ from hypothesis import strategies as st
 
 from subclust import cli, dataio, metrics, oos
 from subclust.cli import RunConfig, build_parser, main, run_pipeline
-from subclust.errors import UnassignableSampleError
+from subclust.errors import DataFormatError, UnassignableSampleError
 
 
 def run_cli(*argv):
@@ -306,7 +306,7 @@ def test_cluster_bad_csv_is_data_error(tmp_path):
     bad.write_text("1,2\n3,oops\n")
     rc = run_cli(
         "cluster", "--algorithm", "sssc", "--input", str(bad),
-        "--k", "2", "--p", "1", "--seed", "0",
+        "--k", "2", "--p", "2", "--seed", "0",
         "--output", str(tmp_path / "x.json"),
     )
     assert rc == 2
@@ -325,6 +325,97 @@ def test_cluster_non_finite_csv_is_data_error(tmp_path, capsys, cell):
     err = capsys.readouterr().err
     assert err.count("\n") == 1
     assert "row 3, column 2" in err
+
+
+def test_cluster_input_that_is_not_a_regular_file_is_data_error(tmp_path, synth_files):
+    # cluster scans --input more than once; a pipe would be empty at the second scan
+    data, _ = synth_files
+    out = tmp_path / "piped.json"
+    proc = subprocess.run(
+        [
+            sys.executable, "-m", "subclust.cli", "cluster", "--algorithm", "sssc",
+            "--input", "/dev/stdin", "--k", "2", "--p", "40", "--seed", "0",
+            "--output", str(out),
+        ],
+        input=data.read_bytes(), capture_output=True,
+        env=dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1])),
+    )
+    assert proc.returncode == 2
+    err = proc.stderr.decode()
+    assert err.count("\n") == 1
+    assert err.startswith("subclust: data error: --input /dev/stdin is not a regular file")
+    assert not out.exists() and not out.with_suffix(".labels").exists()
+
+
+def _csv_with_bad_row(path, values, bad_row, defect):
+    """Write ``values`` (samples as columns) as a CSV with a header line and a
+    blank line before data row ``bad_row`` (0-based), whose cells ``defect``
+    spoils: "text" and "nan" replace its last cell, "short" drops it."""
+    lines = [",".join(repr(float(x)) for x in column) for column in values.T]
+    cells = lines[bad_row].split(",")
+    cells = cells[:-1] if defect == "short" else cells[:-1] + [{"text": "oops", "nan": "nan"}[defect]]
+    lines[bad_row] = ",".join(cells)
+    lines.insert(bad_row, "")
+    path.write_text("x" + ",x" * (values.shape[0] - 1) + "\n" + "\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("defect", ["text", "nan", "short"])
+@pytest.mark.parametrize("place", ["in-sample", "last-query-block"])
+def test_streamed_parse_errors_name_the_row_and_column(tmp_path, capsys, monkeypatch, place, defect):
+    # rows are parsed as fit and assign need them, a few lines at a time; the
+    # message is the one a parse of the whole file gives
+    monkeypatch.setattr(oos, "QUERY_CHUNK", 16)
+    monkeypatch.setattr(dataio, "PARSE_ROWS", 5)
+    values = dataio.synth_subspaces(k=2, ambient=6, dim_per=[2, 2], points_per=[40, 40], seed=1).data
+    in_sample, out_of_sample = dataio.uniform_split(80, 20, 0)
+    bad_row = in_sample[13] if place == "in-sample" else out_of_sample[-1]
+    path = tmp_path / "bad.csv"
+    _csv_with_bad_row(path, values, bad_row, defect)
+    with pytest.raises(DataFormatError) as whole:
+        dataio._parse_csv(path, True)
+    line = bad_row + 2  # 1-based, with the blank line before it
+    assert f"row {line}" in str(whole.value)
+    out = tmp_path / "x.json"
+    rc = run_cli(
+        "cluster", "--algorithm", "sssc", "--input", str(path), "--has-header",
+        "--k", "2", "--p", "20", "--seed", "0", "--output", str(out),
+    )
+    assert rc == 2
+    assert capsys.readouterr().err == f"subclust: data error: {whole.value}\n"
+    assert not out.exists() and not out.with_suffix(".labels").exists()
+
+
+def test_cluster_reads_each_row_once_in_the_blocks_assign_takes(tmp_path, monkeypatch):
+    # one scan for the in-sample rows, then one for the query blocks
+    monkeypatch.setattr(oos, "QUERY_CHUNK", 16)
+    monkeypatch.setattr(dataio, "PARSE_ROWS", 5)
+    read = []
+    load = dataio.load_csv
+
+    def counting(path, has_header=False, rows=None, width=None):
+        read.extend(number for number, _ in rows)
+        return load(path, has_header, rows, width)
+
+    monkeypatch.setattr(dataio, "load_csv", counting)
+    values = dataio.synth_subspaces(k=2, ambient=6, dim_per=[2, 2], points_per=[40, 40], seed=1).data
+    path = tmp_path / "data.csv"
+    np.savetxt(path, values.T, fmt="%.17g", delimiter=",")
+    out = tmp_path / "x.json"
+    assert run_cli(
+        "cluster", "--algorithm", "sssc", "--input", str(path), "--k", "2", "--p", "20",
+        "--seed", "0", "--output", str(out),
+    ) == 0
+    in_sample, out_of_sample = dataio.uniform_split(80, 20, 0)
+    assert read == (in_sample + 1).tolist() + (out_of_sample + 1).tolist()
+    whole = run_pipeline(RunConfig(algorithm="sssc", k=2, p=20, seed=0, input=None, output=None), values)
+    np.testing.assert_array_equal(np.loadtxt(out.with_suffix(".labels"), dtype=int), whole.labels)
+
+
+def test_write_labels_writes_one_line_per_label(tmp_path):
+    labels = np.random.default_rng(0).integers(-1, 12, 2 * cli.LABEL_BLOCK + 7)
+    path = tmp_path / "x.labels"
+    cli._write_labels(path, labels)
+    assert path.read_text() == "".join(f"{value}\n" for value in labels.tolist())
 
 
 @pytest.mark.parametrize("algorithm", ["sssc", "slrr"])
@@ -1038,7 +1129,7 @@ def test_assign_streams_blocks_like_one_batch(monkeypatch, mode):
     assert (model.dictionary.projector is None) == (mode == "sparse")
     streamed, seconds = cli.assign(model, values, out)
     assert len(built) == (1 if mode == "sparse" else 0)
-    assert set(seconds) == {"coding", "classifying"}
+    assert set(seconds) == {"reading", "coding", "classifying"}
     Xbar = values[:, out]
     whole = oos.classify_codes(model.dictionary, Xbar, oos.code_batch(model.dictionary, Xbar))
     np.testing.assert_array_equal(streamed, whole)
@@ -1120,6 +1211,39 @@ def test_assign_memory_does_not_grow_with_the_number_of_queries():
         tracemalloc.stop()
     assert peaks[q] < 0.25 * p * q * 8, peaks
     assert peaks[q] <= 1.25 * peaks[2_000], peaks
+
+
+PEAK_MEMORY_CHILD = """if True:
+    import sys
+    from subclust.cli import main
+    rc = main(sys.argv[1:])
+    with open("/proc/self/status") as fh:
+        peak = next(line.split()[1] for line in fh if line.startswith("VmHWM:"))
+    print(rc, int(peak))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_cluster_memory_does_not_grow_with_the_number_of_rows(tmp_path):
+    # each run is a fresh interpreter that reads its own peak, VmHWM: its
+    # ru_maxrss would start from the test process's peak. Holding the whole
+    # CSV costs about 0.85 KiB a row at m = 100, 16 MiB more for the 20 000
+    # rows the larger file adds
+    values = dataio.synth_subspaces(
+        k=2, ambient=100, dim_per=[3, 3], points_per=[12_500, 12_500], seed=0
+    ).data
+    peaks = {}
+    for n in (5_000, 25_000):
+        path = tmp_path / f"rows-{n}.csv"
+        np.savetxt(path, values[:, :n].T, fmt="%.8g", delimiter=",")
+        stdout = _fresh_python(
+            PEAK_MEMORY_CHILD, "cluster", "--algorithm", "slrr", "--input", str(path),
+            "--k", "2", "--p", "100", "--seed", "0", "--output", str(tmp_path / f"rows-{n}.json"),
+        )
+        rc, peaks[n] = map(int, stdout.splitlines()[-1].split())
+        assert rc == 0
+        path.unlink()
+    assert peaks[25_000] <= 1.25 * peaks[5_000], peaks
 
 
 # --- eval ---------------------------------------------------------------------

@@ -3,12 +3,15 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from subclust import dataio
 from subclust.dataio import (
     _parse_csv,
     labels_to_assignment,
     load_csv,
     load_labels,
+    pca_basis,
     pca_retain_energy,
+    scan_csv,
     synth_subspaces,
     uniform_split,
 )
@@ -101,6 +104,43 @@ def test_load_csv_lines_loadtxt_rejects_match_cell_parser(tmp_path, text):
         np.testing.assert_array_equal(load_csv(path), expected.T)
 
 
+def test_csv_columns_blocks_are_the_columns_of_the_whole_read(tmp_path, monkeypatch):
+    # blocks are parsed a few lines at a time, across blank and quoted lines
+    monkeypatch.setattr(dataio, "PARSE_ROWS", 3)
+    rng = np.random.default_rng(4)
+    values = rng.standard_normal((20, 3))
+    lines = [",".join(map(repr, row)) for row in values.tolist()]
+    lines[5] = '"' + lines[5].replace(",", '","') + '"'  # quoted cells: the cell parser
+    for at, blank in ((0, ""), (7, "  "), (12, ",,"), (16, '"",""')):
+        lines.insert(at, blank)
+    path = tmp_path / "mixed.csv"
+    path.write_text("a,b,c\n" + "\n".join(lines) + "\n")
+    whole = load_csv(path, has_header=True)
+    np.testing.assert_array_equal(whole, values.T)
+    source = scan_csv(path, has_header=True)
+    assert source.shape == (3, 20)
+    wanted = [np.array([0, 4, 5, 6]), np.array([9]), np.array([10, 11, 12, 13, 14, 19])]
+    for indices, block in zip(wanted, source.blocks(wanted)):
+        assert block.flags.f_contiguous
+        np.testing.assert_array_equal(block, whole[:, indices])
+
+
+def test_csv_columns_refuse_a_file_that_shrank(tmp_path):
+    path = tmp_path / "d.csv"
+    path.write_text("1,2\n3,4\n5,6\n")
+    source = scan_csv(path)
+    path.write_text("1,2\n3,4\n")
+    with pytest.raises(DataFormatError, match="changed while it was read"):
+        list(source.blocks([np.array([0, 2])]))
+
+
+def test_scan_csv_of_no_data_rows_is_data_error(tmp_path):
+    path = tmp_path / "h.csv"
+    path.write_text("a,b\n\n ,\n")
+    with pytest.raises(DataFormatError, match="no data rows"):
+        scan_csv(path, has_header=True)
+
+
 def test_load_labels_roundtrip(tmp_path):
     path = tmp_path / "l.txt"
     path.write_text("0\n1\n-1\n1\n")
@@ -153,6 +193,17 @@ def test_pca_energy_fraction_matches_spectrum():
     ratio = power[:d].sum() / power.sum()
     assert ratio >= 0.9
     assert power[: d - 1].sum() / power.sum() < 0.9
+
+
+def test_pca_basis_streamed_over_blocks_matches_one_block():
+    # the pairwise mean and scatter update over blocks of an off-centre cloud
+    rng = np.random.default_rng(3)
+    Y = 1e3 + rng.standard_normal((8, 5)) @ rng.standard_normal((5, 90))
+    mean, basis = pca_basis([Y], 0.999)
+    streamed_mean, streamed = pca_basis([Y[:, :7], Y[:, 7:8], Y[:, 8:50], Y[:, 50:]], 0.999)
+    assert streamed.shape == basis.shape == (8, 5)
+    np.testing.assert_allclose(streamed_mean, mean, rtol=1e-14)
+    np.testing.assert_allclose(np.abs(streamed.T @ basis), np.eye(5), atol=1e-9)
 
 
 # --- uniform_split ----------------------------------------------------------
