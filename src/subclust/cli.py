@@ -100,7 +100,7 @@ class RunConfig:
     input: str | None = _knob(role="io")
     labels: str | None = _knob(None, role="io", help="optional truth sidecar for accuracy/NMI")
     output: str | None = _knob(role="io")
-    has_header: bool = _knob(_default(dataio.load_csv, "has_header"), role="io")
+    has_header: bool = _knob(_default(dataio.scan_csv, "has_header"), role="io")
 
     def __post_init__(self):
         if self.lam is None:

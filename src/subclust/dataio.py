@@ -10,7 +10,6 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
-import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -35,41 +34,27 @@ class LabeledDataset:
     corrupted: np.ndarray
 
 
-def load_csv(path, has_header: bool = False, rows=None, width=None) -> np.ndarray:
-    """Read a CSV of real numbers, one sample per row.
+def load_csv(path, rows, width: int) -> np.ndarray:
+    """The ``(data row number, line)`` pairs ``rows`` that a scan of the CSV
+    at ``path`` picked, such as ``CsvColumns.blocks``, parsed into a finite
+    float array whose columns are the rows: shape (width, len(rows)). Each
+    row must have the ``width`` fields of the file's first data row. A data
+    row number is 1-based and counts every line after any header, blank or
+    not.
 
-    Returns a finite float array whose columns are the rows read, so it has
-    shape (file column count, rows read). A row is a line; its data row
-    number is 1-based and counts every line after any header, blank or not.
-
-    Reads the whole file by default. ``rows`` and ``width``, from a scan such
-    as ``CsvColumns.blocks``, read only the given ``(data row number, line)``
-    pairs, each of which must have the ``width`` fields of the file's first
-    data row.
-
-    Raises DataFormatError on text that is not UTF-8, ragged rows,
-    non-numeric cells and non-finite values (nan, inf); the message names
-    the offending byte, or data row and column.
+    Raises DataFormatError on ragged rows, non-numeric cells and non-finite
+    values (nan, inf); the message names the offending data row and column.
 
     Well-formed rows are parsed by ``numpy.loadtxt``. Anything it rejects,
     and any non-finite value, is re-read by the cell-by-cell parser, the
     only source of the row/column messages and of its laxer syntax (quoted
     cells, blank cells on blank lines, digit underscores).
     """
-    path = Path(path)
-    if rows is None:
-        rows = list(_data_lines(path, has_header))
-        width = len(_cells(rows[0][1])) if rows else 0
     try:
-        with warnings.catch_warnings():
-            # an empty file is left to the parser, which names it
-            warnings.filterwarnings("ignore", "loadtxt: input contained no data")
-            values = np.loadtxt(
-                [line for _, line in rows], delimiter=",", ndmin=2, comments=None
-            )
+        values = np.loadtxt([line for _, line in rows], delimiter=",", ndmin=2, comments=None)
     except ValueError:
         values = np.empty((0, 0))
-    if values.size == 0 or values.shape[1] != width or not np.isfinite(values).all():
+    if values.shape[1] != width or not np.isfinite(values).all():
         values = _parse_rows(path, rows, width)
     return values.T
 
@@ -83,13 +68,17 @@ class CsvColumns:
     path: Path
     has_header: bool
     shape: tuple  # (m, n): the first data row's field count, the data rows
+    stamp: tuple  # (size, modification time in ns) of the file at the scan
 
     def blocks(self, wanted):
         """For each array of sorted 0-based data-row indices in ``wanted``,
         the (m, len) float array of those rows as columns, in column-major
         order. The arrays must come in ascending order without overlap, as
         one scan of the file reads them all. ``load_csv`` parses the rows
-        ``PARSE_ROWS`` lines at a time, so the text held is a few lines."""
+        ``PARSE_ROWS`` lines at a time, so the text held is a few lines.
+
+        Raises DataFormatError, before it returns a block, once the file's
+        size or modification time differs from the scan's."""
         m, n = self.shape
         position = 0  # data rows scanned so far
         with contextlib.closing(_data_lines(self.path, self.has_header)) as lines:
@@ -107,6 +96,8 @@ class CsvColumns:
                         picked.append(line)
                         position = row + 1
                     rows[start : start + len(picked)] = load_csv(self.path, rows=picked, width=m).T
+                if _stamp(self.path) != self.stamp:
+                    raise DataFormatError(f"{self.path}: the file changed while it was read")
                 yield rows.T
 
 
@@ -118,6 +109,7 @@ def scan_csv(path, has_header: bool = False) -> CsvColumns:
     data rows. The file must stay as it is while its columns are read.
     """
     path = Path(path)
+    stamp = _stamp(path)
     n, m = 0, 0
     for _, line in _data_lines(path, has_header):
         if not n:
@@ -125,7 +117,7 @@ def scan_csv(path, has_header: bool = False) -> CsvColumns:
         n += 1
     if not n:
         raise DataFormatError(f"{path}: no data rows")
-    return CsvColumns(path=path, has_header=has_header, shape=(m, n))
+    return CsvColumns(path=path, has_header=has_header, shape=(m, n), stamp=stamp)
 
 
 def column_blocks(data, wanted):
@@ -146,6 +138,12 @@ def read_text(path) -> str:
         raise DataFormatError(
             f"{path}: byte {exc.start} is not UTF-8 text ({exc.reason})"
         ) from None
+
+
+def _stamp(path: Path) -> tuple:
+    """(size, modification time in ns): what a rewrite of the file changes."""
+    status = path.stat()
+    return status.st_size, status.st_mtime_ns
 
 
 def _cells(line: str) -> list:
@@ -170,13 +168,6 @@ def _data_lines(path: Path, has_header: bool):
     except UnicodeDecodeError:
         read_text(path)  # raises the DataFormatError that names the first bad byte
         raise
-
-
-def _parse_csv(path: Path, has_header: bool) -> np.ndarray:
-    """Cell-by-cell parse of a whole CSV, as (rows, m); raises
-    DataFormatError naming row and column."""
-    rows = list(_data_lines(path, has_header))
-    return _parse_rows(path, rows, len(_cells(rows[0][1])) if rows else 0)
 
 
 def _parse_rows(path: Path, rows: list, width: int) -> np.ndarray:
@@ -283,21 +274,11 @@ class PcaColumns:
     def shape(self) -> tuple:
         return self.basis.shape[1], self.data.shape[1]
 
-    def project(self, V: np.ndarray) -> np.ndarray:
-        """The (d, q) coordinates of the (m, q) columns V, in column-major
-        order like the column blocks of a loaded CSV."""
-        return ((V - self.mean).T @ self.basis).T
-
     def blocks(self, wanted):
+        """The (d, ·) coordinates of the columns ``column_blocks`` gives,
+        in column-major order like the column blocks of a CSV."""
         for V in column_blocks(self.data, wanted):
-            yield self.project(V)
-
-
-def pca_retain_energy(Y: np.ndarray, energy: float) -> np.ndarray:
-    """The in-memory (m, n) array Y projected as ``pca_basis`` of its
-    columns says: an array of shape (d, n)."""
-    mean, basis = pca_basis([Y], energy)
-    return PcaColumns(Y, mean, basis).project(Y)
+            yield ((V - self.mean).T @ self.basis).T
 
 
 def uniform_split(n: int, p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

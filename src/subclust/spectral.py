@@ -38,12 +38,18 @@ def normalized_laplacian(A: np.ndarray) -> np.ndarray:
     Zero-degree vertices get D^{-1/2}_ii = 0, leaving them isolated with
     L_ii = 1.
     """
+    # L does not change when A is scaled. Scaling by an even power of two
+    # that brings the largest entry near 1 is exact, down to the bits of L,
+    # and keeps the outer product of D^{-1/2} from overflowing to inf on tiny
+    # affinities, where inf * 0 would put nan in L.
+    A = np.ldexp(A, -2 * (np.frexp(A.max(initial=0.0))[1] // 2))
     d = A.sum(axis=1)
     inv_sqrt = np.zeros_like(d)
     pos = d > 0
     inv_sqrt[pos] = 1.0 / np.sqrt(d[pos])
     # outer-product scaling keeps L exactly symmetric
-    return np.eye(A.shape[0]) - np.outer(inv_sqrt, inv_sqrt) * A
+    A *= np.outer(inv_sqrt, inv_sqrt)
+    return np.eye(A.shape[0]) - A
 
 
 def smallest_eigenvectors(L: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray]:

@@ -9,7 +9,8 @@ checks only the reduction to the row space. The per-point out-of-sample
 assignment codes and classifies one point at a time, where
 ``classify_codes`` takes a whole batch of codes at once. The FISTA oracle is the lasso loop that
 ``solve_lasso`` replaced: separate products for the gradient and for the
-stopping tests, both tested only every tenth iteration.
+stopping tests, both tested only every tenth iteration. The CSV oracle
+parses every data row of a file cell by cell, without ``numpy.loadtxt``.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from subclust import lowrank
+from subclust import dataio, lowrank
 from subclust.errors import UnassignableSampleError
 from subclust.lowrank import LrrConfig, _error_prox, _error_value, svt
 from subclust.sparse_coding import SNAP_TOL, soft_threshold
@@ -330,3 +331,10 @@ def assign(dictionary, xbar, regularized=True):
     if not np.any(np.isfinite(residuals)):
         raise UnassignableSampleError()
     return Assignment(int(np.argmin(residuals)), residuals, cbar)
+
+
+def cell_parsed_csv(path, has_header=False):
+    """Every data row of the CSV at ``path``, parsed cell by cell, as (rows,
+    m); raises DataFormatError naming row and column."""
+    rows = list(dataio._data_lines(path, has_header))
+    return dataio._parse_rows(path, rows, len(dataio._cells(rows[0][1])) if rows else 0)

@@ -14,6 +14,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cell_parsed_csv
 from subclust import cli, dataio, metrics, oos
 from subclust.cli import RunConfig, build_parser, main, run_pipeline
 from subclust.errors import DataFormatError, UnassignableSampleError
@@ -312,6 +313,18 @@ def test_cluster_bad_csv_is_data_error(tmp_path):
     assert rc == 2
 
 
+def test_cluster_on_tiny_scale_data_never_ends_in_a_traceback(tmp_path, synth_files):
+    # the affinity's degrees are subnormal: the outer product of D^{-1/2}
+    # overflowed, inf * 0 put nan in the Laplacian and eigh raised LinAlgError
+    data, _ = synth_files
+    tiny = tmp_path / "tiny.csv"
+    np.savetxt(tiny, np.loadtxt(data, delimiter=",") * 1e-160, fmt="%.17g", delimiter=",")
+    _ends_in_one_line_at_most(
+        "cluster", "--algorithm", "slrr", "--input", str(tiny), "--k", "2",
+        "--p", "16", "--seed", "0", "--output", str(tmp_path / "x.json"),
+    )
+
+
 @pytest.mark.parametrize("cell", ["nan", "inf", "-inf"])
 def test_cluster_non_finite_csv_is_data_error(tmp_path, capsys, cell):
     bad = tmp_path / "bad.csv"
@@ -372,7 +385,7 @@ def test_streamed_parse_errors_name_the_row_and_column(tmp_path, capsys, monkeyp
     path = tmp_path / "bad.csv"
     _csv_with_bad_row(path, values, bad_row, defect)
     with pytest.raises(DataFormatError) as whole:
-        dataio._parse_csv(path, True)
+        cell_parsed_csv(path, True)
     line = bad_row + 2  # 1-based, with the blank line before it
     assert f"row {line}" in str(whole.value)
     out = tmp_path / "x.json"
@@ -392,9 +405,9 @@ def test_cluster_reads_each_row_once_in_the_blocks_assign_takes(tmp_path, monkey
     read = []
     load = dataio.load_csv
 
-    def counting(path, has_header=False, rows=None, width=None):
+    def counting(path, rows, width):
         read.extend(number for number, _ in rows)
-        return load(path, has_header, rows, width)
+        return load(path, rows, width)
 
     monkeypatch.setattr(dataio, "load_csv", counting)
     values = dataio.synth_subspaces(k=2, ambient=6, dim_per=[2, 2], points_per=[40, 40], seed=1).data

@@ -1,21 +1,37 @@
+import os
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from oracles import cell_parsed_csv
 from subclust import dataio
 from subclust.dataio import (
-    _parse_csv,
+    PcaColumns,
     labels_to_assignment,
-    load_csv,
     load_labels,
     pca_basis,
-    pca_retain_energy,
     scan_csv,
     synth_subspaces,
     uniform_split,
 )
 from subclust.errors import DataFormatError
+
+
+def read_csv(path, has_header=False):
+    """Every data row of a CSV as the columns of one block, the read
+    ``cluster`` makes of it: ``scan_csv``, then ``blocks``, ``load_csv``
+    parsing the rows."""
+    source = scan_csv(path, has_header)
+    return next(source.blocks([np.arange(source.shape[1])]))
+
+
+def pca_project(Y, energy):
+    """The in-memory (m, n) array Y projected as ``pca_basis`` of its
+    columns says: an array of shape (d, n)."""
+    mean, basis = pca_basis([Y], energy)
+    return next(PcaColumns(Y, mean, basis).blocks([np.arange(Y.shape[1])]))
 
 
 # --- load_csv -------------------------------------------------------------
@@ -24,7 +40,7 @@ from subclust.errors import DataFormatError
 def test_load_csv_zero_matrix(tmp_path):
     path = tmp_path / "z.csv"
     path.write_text("0,0\n0,0\n0,0\n")
-    dm = load_csv(path)
+    dm = read_csv(path)
     assert dm.shape == (2, 3)
     assert not dm.any()
 
@@ -32,7 +48,7 @@ def test_load_csv_zero_matrix(tmp_path):
 def test_load_csv_rows_become_columns(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("1,2\n3,4\n")
-    dm = load_csv(path)
+    dm = read_csv(path)
     np.testing.assert_array_equal(dm[:, 0], [1.0, 2.0])
     np.testing.assert_array_equal(dm[:, 1], [3.0, 4.0])
 
@@ -41,26 +57,26 @@ def test_load_csv_non_numeric_names_row_and_column(tmp_path):
     path = tmp_path / "bad.csv"
     path.write_text("1,x\n3,4\n")
     with pytest.raises(DataFormatError, match="row 1.*column 2"):
-        load_csv(path)
+        read_csv(path)
 
 
 def test_load_csv_ragged_row(tmp_path):
     path = tmp_path / "ragged.csv"
     path.write_text("1,2\n3,4,5\n")
     with pytest.raises(DataFormatError, match="row 2"):
-        load_csv(path)
+        read_csv(path)
 
 
 def test_load_csv_header_skipped(tmp_path):
     path = tmp_path / "h.csv"
     path.write_text("a,b\n1,2\n")
-    dm = load_csv(path, has_header=True)
+    dm = read_csv(path, has_header=True)
     assert dm.shape == (2, 1)
 
 
 def test_load_csv_missing_file(tmp_path):
     with pytest.raises(OSError):
-        load_csv(tmp_path / "nope.csv")
+        read_csv(tmp_path / "nope.csv")
 
 
 def test_load_csv_fast_read_is_bit_identical_to_cell_parser(tmp_path):
@@ -69,12 +85,12 @@ def test_load_csv_fast_read_is_bit_identical_to_cell_parser(tmp_path):
     values[0, 0] = 5e-324  # smallest subnormal
     path = tmp_path / "exact.csv"
     np.savetxt(path, values, fmt="%.17g", delimiter=",")
-    dm = load_csv(path)
+    dm = read_csv(path)
     np.testing.assert_array_equal(dm, values.T)
-    np.testing.assert_array_equal(dm, _parse_csv(path, False).T)
+    np.testing.assert_array_equal(dm, cell_parsed_csv(path).T)
     header = tmp_path / "exact_header.csv"
     header.write_text("h" + ",h" * 6 + "\n" + path.read_text())
-    np.testing.assert_array_equal(load_csv(header, has_header=True), values.T)
+    np.testing.assert_array_equal(read_csv(header, has_header=True), values.T)
 
 
 @pytest.mark.parametrize(
@@ -95,13 +111,13 @@ def test_load_csv_lines_loadtxt_rejects_match_cell_parser(tmp_path, text):
     path = tmp_path / "odd.csv"
     path.write_text(text)
     try:
-        expected = _parse_csv(path, False)
+        expected = cell_parsed_csv(path)
     except DataFormatError as exc:
         with pytest.raises(DataFormatError) as info:
-            load_csv(path)
+            read_csv(path)
         assert str(info.value) == str(exc)
     else:
-        np.testing.assert_array_equal(load_csv(path), expected.T)
+        np.testing.assert_array_equal(read_csv(path), expected.T)
 
 
 def test_csv_columns_blocks_are_the_columns_of_the_whole_read(tmp_path, monkeypatch):
@@ -115,7 +131,7 @@ def test_csv_columns_blocks_are_the_columns_of_the_whole_read(tmp_path, monkeypa
         lines.insert(at, blank)
     path = tmp_path / "mixed.csv"
     path.write_text("a,b,c\n" + "\n".join(lines) + "\n")
-    whole = load_csv(path, has_header=True)
+    whole = read_csv(path, has_header=True)
     np.testing.assert_array_equal(whole, values.T)
     source = scan_csv(path, has_header=True)
     assert source.shape == (3, 20)
@@ -130,6 +146,21 @@ def test_csv_columns_refuse_a_file_that_shrank(tmp_path):
     path.write_text("1,2\n3,4\n5,6\n")
     source = scan_csv(path)
     path.write_text("1,2\n3,4\n")
+    with pytest.raises(DataFormatError, match="changed while it was read"):
+        list(source.blocks([np.array([0, 2])]))
+
+
+@pytest.mark.parametrize("rewrite", ["other-size", "same-size"])
+def test_csv_columns_refuse_a_file_rewritten_between_passes(tmp_path, rewrite):
+    # same row count, other values: only the file's size and mtime tell
+    path = tmp_path / "d.csv"
+    path.write_text("1,2\n3,4\n5,6\n")
+    source = scan_csv(path)
+    before = path.stat()
+    path.write_text("7,8\n9,10\n11,12\n" if rewrite == "other-size" else "7,8\n9,0\n1,2\n")
+    if rewrite == "same-size":
+        # a later write, though a coarse clock may stamp both writes alike
+        os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns + 10**9))
     with pytest.raises(DataFormatError, match="changed while it was read"):
         list(source.blocks([np.array([0, 2])]))
 
@@ -156,14 +187,14 @@ def test_load_labels_bad_line(tmp_path):
         load_labels(path)
 
 
-# --- pca_retain_energy ----------------------------------------------------
+# --- pca_basis and PcaColumns --------------------------------------------
 
 
 def test_pca_rank_one_matrix_keeps_one_direction():
     u = np.arange(1.0, 5.0)
     v = np.linspace(-1, 1, 7)
     Y = np.outer(u, v)
-    out = pca_retain_energy(Y, 0.98)
+    out = pca_project(Y, 0.98)
     assert out.shape == (1, 7)
 
 
@@ -173,7 +204,7 @@ def test_pca_full_energy_recovers_rank_and_reconstruction():
     Y = low
     centered = low - low.mean(axis=1, keepdims=True)
     rank = np.linalg.matrix_rank(centered, tol=1e-10)
-    out = pca_retain_energy(Y, 1.0)
+    out = pca_project(Y, 1.0)
     assert out.shape[0] == rank
     # projecting back reproduces the data
     U, _, _ = np.linalg.svd(centered, full_matrices=False)
@@ -184,7 +215,7 @@ def test_pca_full_energy_recovers_rank_and_reconstruction():
 def test_pca_energy_fraction_matches_spectrum():
     rng = np.random.default_rng(7)
     Y = rng.standard_normal((10, 50))
-    out = pca_retain_energy(Y, 0.9)
+    out = pca_project(Y, 0.9)
     d = out.shape[0]
     # oracle: the full spectrum computed directly
     centered = Y - Y.mean(axis=1, keepdims=True)
@@ -345,4 +376,4 @@ def test_data_matrix_rejects_non_finite(tmp_path):
     path = tmp_path / "nan.csv"
     path.write_text("1,2\n3,nan\n")
     with pytest.raises(DataFormatError, match="row 2, column 2"):
-        load_csv(path)
+        read_csv(path)

@@ -1,0 +1,41 @@
+"""Checks over the source of ``subclust`` itself."""
+
+import ast
+import collections
+import io
+import tokenize
+from pathlib import Path
+
+import subclust
+
+SRC = Path(subclust.__file__).parent
+
+
+def unused_public_names(src: Path) -> list:
+    """``module.name`` for each public module-level name of ``src/*.py``
+    that no code there names apart from its own definition. Comments and
+    strings do not count as a use."""
+    uses = collections.Counter()
+    definitions = []
+    for path in sorted(src.glob("*.py")):
+        text = path.read_text(encoding="utf-8")
+        for token in tokenize.generate_tokens(io.StringIO(text).readline):
+            if token.type == tokenize.NAME:
+                uses[token.string] += 1
+        for node in ast.parse(text).body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                names = [node.name]
+            elif isinstance(node, ast.Assign):
+                names = [t.id for t in node.targets if isinstance(t, ast.Name)]
+            elif isinstance(node, ast.AnnAssign) and isinstance(node.target, ast.Name):
+                names = [node.target.id]
+            else:
+                names = []
+            definitions += [(path.stem, name) for name in names if not name.startswith("_")]
+    defined = collections.Counter(name for _, name in definitions)
+    return [f"{module}.{name}" for module, name in definitions if uses[name] <= defined[name]]
+
+
+def test_every_public_name_is_used_in_src():
+    # a library name that only tests call is an API kept for the tests alone
+    assert unused_public_names(SRC) == []

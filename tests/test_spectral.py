@@ -107,6 +107,20 @@ def test_laplacian_null_space_counts_components():
         assert np.sum(eigenvalues <= 1e-10) == len(sizes)
 
 
+def test_laplacian_is_bit_identical_under_an_even_power_of_two_scale():
+    # 2^(2e) scales D by 2^(2e) and D^{-1/2} by 2^(-e), both exactly
+    rng = np.random.default_rng(5)
+    for _ in range(50):
+        C = rng.standard_normal((9, 9)) * (rng.random((9, 9)) < 0.5)
+        C[4] = 0.0  # a zero-degree vertex, once its column is zero too
+        C[:, 4] = 0.0
+        A = build_affinity(C * np.exp(rng.uniform(-20.0, 20.0)))
+        L = normalized_laplacian(A)
+        for e in (-40, -1, 1, 40):
+            scaled = normalized_laplacian(np.ldexp(A, 2 * e))
+            np.testing.assert_array_equal(scaled.view(np.int64), L.view(np.int64))
+
+
 # --- smallest_eigenvectors ---------------------------------------------------------
 
 
@@ -235,6 +249,18 @@ def test_spectral_cluster_on_sparse_representation():
     C, _ = sparse_self_representation(ds.data, cfg)
     out = spectral_cluster(C, 2, seed=0)
     assert accuracy(out, ds.truth) == 1.0
+
+
+def test_spectral_cluster_subnormal_coefficients_give_the_same_partition():
+    # D^{-1/2} of subnormal degrees is above 1e154; its outer product would
+    # overflow to inf, and inf * 0 fill L with nan
+    ds = synth_subspaces(k=2, ambient=30, dim_per=[3, 3], points_per=[20, 20], seed=6)
+    cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0, kkt_tol=1e-6)
+    C, _ = sparse_self_representation(ds.data, cfg)
+    tiny = np.ldexp(C, -1040)
+    assert 0.0 < np.abs(tiny).max() < np.finfo(float).tiny
+    out = spectral_cluster(C, 2, seed=0)
+    assert accuracy(spectral_cluster(tiny, 2, seed=0), out) == 1.0
 
 
 def test_spectral_cluster_zero_coefficients_raise():
