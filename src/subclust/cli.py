@@ -554,11 +554,13 @@ def cmd_bench(args) -> int:
     """Run the ``cluster`` pipeline on synthetic data across problem sizes.
 
     Each n runs ``run_pipeline`` once, then ``assign`` on the same model
-    ``--repeats`` - 1 more times. ``classification_seconds`` is the minimum
-    over the repeats of the per-query work (coding + classifying), which
-    excludes the n-independent dictionary factorization; the log-log slope
-    of that time against n checks the linear-in-n claim. Every other column
-    comes from the ``run_pipeline`` call.
+    ``--repeats`` - 1 more times. Every n is fitted before any repeat, and
+    the repeats go round-robin across n, so a spell of load on the host
+    slows every n alike. ``classification_seconds`` is the minimum over the
+    repeats of the per-query work (coding + classifying), which excludes the
+    n-independent dictionary factorization; the log-log slope of that time
+    against n checks the linear-in-n claim. Every other column comes from
+    the ``run_pipeline`` call.
     """
     if args.k < 1:
         raise UsageError(f"--k must be >= 1, got {args.k}")
@@ -572,7 +574,7 @@ def cmd_bench(args) -> int:
     )
     if args.output:
         _output_path(args.output, "--output", {})
-    runs = []
+    fitted = []
     for n in sorted(set(args.n)):
         points = [n // args.k] * args.k
         for i in range(n - sum(points)):
@@ -583,23 +585,22 @@ def cmd_bench(args) -> int:
             points_per=points, seed=args.seed,
         )
         report = run_pipeline(cfg, dataset.data, dataset.truth)
-        out = report.model.out_of_sample
-        timings = [report.stage_seconds] + [
-            assign(report.model, dataset.data, out)[1] for _ in range(args.repeats - 1)
-        ]
-        runs.append(
-            {
-                "n": n,
-                "accuracy": report.accuracy,
-                "sampling_seconds": report.stage_seconds["sampling"],
-                "insample_seconds": report.stage_seconds["insample_clustering"],
-                "dictionary_seconds": report.stage_seconds["dictionary"],
-                "classification_seconds": min(
-                    t["coding"] + t["classifying"] for t in timings
-                ),
-                "total_seconds": report.total_seconds,
-            }
-        )
+        fitted.append((n, dataset.data, report, [report.stage_seconds]))
+    for _ in range(args.repeats - 1):
+        for _, data, report, timings in fitted:
+            timings.append(assign(report.model, data, report.model.out_of_sample)[1])
+    runs = [
+        {
+            "n": n,
+            "accuracy": report.accuracy,
+            "sampling_seconds": report.stage_seconds["sampling"],
+            "insample_seconds": report.stage_seconds["insample_clustering"],
+            "dictionary_seconds": report.stage_seconds["dictionary"],
+            "classification_seconds": min(t["coding"] + t["classifying"] for t in timings),
+            "total_seconds": report.total_seconds,
+        }
+        for n, _, report, timings in fitted
+    ]
 
     slope = None
     if len(runs) >= 2:

@@ -39,3 +39,34 @@ def unused_public_names(src: Path) -> list:
 def test_every_public_name_is_used_in_src():
     # a library name that only tests call is an API kept for the tests alone
     assert unused_public_names(SRC) == []
+
+
+def scipy_imports(src: Path) -> list:
+    """``file:line`` of each import of scipy in ``src/*.py``, at module level
+    or inside a function, by statement or through ``importlib.import_module``
+    or ``__import__``."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Import):
+                names = [alias.name for alias in node.names]
+            elif isinstance(node, ast.ImportFrom):
+                names = [node.module or ""]
+            elif (
+                isinstance(node, ast.Call)
+                and getattr(node.func, "id", getattr(node.func, "attr", None))
+                in ("import_module", "__import__")
+                and node.args
+                and isinstance(node.args[0], ast.Constant)
+            ):
+                names = [str(node.args[0].value)]
+            else:
+                continue
+            if any(name.split(".")[0] == "scipy" for name in names):
+                found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_no_module_imports_scipy():
+    # numpy is the only dependency; scipy serves the tests alone
+    assert scipy_imports(SRC) == []

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -153,19 +158,65 @@ def test_eigvecs_span_component_indicators():
     assert np.linalg.norm(proj - V) <= 1e-6
 
 
-def test_eigvecs_lanczos_agrees_with_dense(monkeypatch):
-    rng = np.random.default_rng(1)
-    C = rng.standard_normal((40, 40))
+def _assert_matches_dense(values, vectors, L, k):
+    dense_values, dense = np.linalg.eigh(L)
+    assert np.all(np.diff(values) >= 0)  # ascending
+    np.testing.assert_allclose(values, dense_values[:k], rtol=0, atol=1e-10)
+    np.testing.assert_allclose(vectors.T @ vectors, np.eye(k), rtol=0, atol=1e-10)
+    # compare projectors, not bases: an eigenvector's sign is arbitrary
+    np.testing.assert_allclose(
+        vectors @ vectors.T, dense[:, :k] @ dense[:, :k].T, rtol=0, atol=1e-8
+    )
+
+
+@pytest.mark.parametrize("sigma", [0.02, 0.05, 0.1])
+def test_filtered_iteration_matches_dense_eigh_on_noisy_laplacians(sigma):
+    # noise joins the subspaces' graphs, leaving the k-th eigenvalue within
+    # 5e-3 of the next one here
+    ds = synth_subspaces(k=4, ambient=100, dim_per=[5] * 4, points_per=[40] * 4,
+                         seed=0, noise_sigma=sigma)
+    C, _ = sparse_self_representation(ds.data, SparseSelfRepConfig(lam=1e-5))
     L = normalized_laplacian(build_affinity(C))
-    dense_values, dense = smallest_eigenvectors(L, 3)
-    monkeypatch.setattr(spectral, "DENSE_EIG_LIMIT", 10)  # 40 rows take Lanczos
-    lanczos_values, lanczos = smallest_eigenvectors(L, 3)
-    np.testing.assert_allclose(lanczos_values, dense_values, atol=1e-8)
-    assert np.all(np.diff(lanczos_values) >= 0)  # ascending
-    np.testing.assert_allclose(lanczos.T @ lanczos, np.eye(3), atol=1e-8)
-    # compare spans, not signs
-    proj = dense @ (dense.T @ lanczos)
-    np.testing.assert_allclose(proj, lanczos, atol=1e-6)
+    found = spectral._filtered_eigenpairs(L, 4)
+    assert found is not None  # converged within the pass cap, with no fallback
+    _assert_matches_dense(*found, L, 4)
+    values, vectors = smallest_eigenvectors(L, 4)
+    np.testing.assert_array_equal(values, found[0])
+    np.testing.assert_array_equal(vectors, found[1])
+
+
+def test_eigvecs_without_filter_passes_are_dense_eigh(monkeypatch):
+    rng = np.random.default_rng(1)
+    L = normalized_laplacian(build_affinity(rng.standard_normal((40, 40))))
+    monkeypatch.setattr(spectral, "FILTER_MAX_PASSES", 0)
+    values, vectors = smallest_eigenvectors(L, 3)
+    dense_values, dense = np.linalg.eigh(L)
+    np.testing.assert_array_equal(values, dense_values[:3])
+    np.testing.assert_array_equal(vectors, dense[:, :3])
+
+
+@pytest.mark.parametrize("n, k", [(2, 1), (2, 2), (6, 5), (6, 6)])
+def test_eigvecs_tiny_n(n, k):
+    # with no room for the guard vectors beside the k wanted, eigh serves
+    rng = np.random.default_rng(n + k)
+    L = normalized_laplacian(build_affinity(rng.standard_normal((n, n))))
+    _assert_matches_dense(*smallest_eigenvectors(L, k), L, k)
+
+
+@pytest.mark.parametrize(
+    "spectrum",
+    [np.linspace(0.0, 3.0, 30), np.r_[np.linspace(0.0, 1.0, 25), np.linspace(5.0, 7.0, 5)]],
+    ids=["up-to-3", "five-above-5"],
+)
+def test_eigvecs_of_a_spectrum_beyond_the_filter_bound(spectrum):
+    # eigenvalues above the 2 the filter assumes grow under it instead of
+    # shrinking; five of them could fill the guard slots of a k = 2 block.
+    # The result still has to be the bottom of the spectrum
+    rng = np.random.default_rng(2)
+    Q = np.linalg.qr(rng.standard_normal((30, 30)))[0]
+    L = (Q * spectrum) @ Q.T
+    L = 0.5 * (L + L.T)
+    _assert_matches_dense(*smallest_eigenvectors(L, 2), L, 2)
 
 
 def test_eigvecs_validates_input():
@@ -282,3 +333,43 @@ def test_spectral_cluster_permutation_invariance():
     truth_perm = ds.truth[perm]
     out_perm = spectral_cluster(C_perm, 2, seed=0)
     assert accuracy(out_perm, truth_perm) == base
+
+
+SPECTRAL_MEMORY_CHILD = """if True:
+    import sys
+    import numpy as np
+    from subclust import spectral
+
+    def status(key):
+        with open("/proc/self/status") as fh:
+            return int(next(line.split()[1] for line in fh if line.startswith(key + ":")))
+
+    p, k = int(sys.argv[1]), 4
+    rng = np.random.default_rng(0)
+    C = np.zeros((p, p))
+    size = p // k
+    for b in range(k):  # one block at a time: no p x p temporary before the call
+        C[b * size:(b + 1) * size, b * size:(b + 1) * size] = rng.random((size, size))
+    np.fill_diagonal(C, 0.0)
+    spectral.spectral_cluster(C[:40, :40], k, 0)  # first calls set up numpy and BLAS
+    before = status("VmRSS")
+    labels = spectral.spectral_cluster(C, k, 0)
+    print(status("VmHWM") - before, *np.bincount(labels))
+"""
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_spectral_cluster_peak_memory_is_two_p_by_p_arrays():
+    # a fresh interpreter, so the rise of its peak (VmHWM, KiB) over its
+    # resident size before the call is what spectral_cluster adds: A and L
+    # are 2 p^2 doubles on top of C; dense eigh alone needs about 6 p^2
+    p = 1000
+    env = dict(os.environ, PYTHONPATH=str(Path(spectral.__file__).parents[1]))
+    proc = subprocess.run(
+        [sys.executable, "-c", SPECTRAL_MEMORY_CHILD, str(p)],
+        env=env, capture_output=True, text=True,
+    )
+    assert proc.returncode == 0, proc.stderr
+    rise_kib, *sizes = map(int, proc.stdout.split())
+    assert sizes == [p // 4] * 4
+    assert rise_kib * 1024 <= 3 * p * p * 8, rise_kib
