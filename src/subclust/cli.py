@@ -179,13 +179,15 @@ def _output_path(path, flag: str, taken: dict) -> Path:
 class Model:
     """What ``fit`` learns from the in-sample points; ``assign`` labels
     further points against it. ``in_sample`` and ``out_of_sample`` are the
-    sorted column indices of ``dataio.uniform_split``. ``dictionary`` is
-    None when p = n."""
+    sorted column indices of ``dataio.uniform_split``. ``projection`` is
+    ``dataio.pca_basis`` of the in-sample points under ``--pca-energy``,
+    else None. ``dictionary`` is None when p = n."""
 
     config: RunConfig
     in_sample: np.ndarray
     out_of_sample: np.ndarray
     labels: np.ndarray  # of the in-sample points, in in_sample order
+    projection: tuple | None
     dictionary: oos.ClassDictionary | None
     solver: dict
     converged: bool
@@ -253,7 +255,8 @@ def _sample_size(cfg: RunConfig, n: int) -> int:
 def fit(cfg: RunConfig, data) -> Model:
     """Sample p columns of the (m, n) ``data`` (see ``dataio.column_blocks``),
     cluster them and build the dictionary that the other n - p columns are
-    assigned against. Only the p sampled columns are read."""
+    assigned against. Only the p sampled columns are read, and the
+    ``--pca-energy`` projection is fitted on them alone."""
     sparse = cfg.algorithm in ("sssc", "ssc")
     # under slrr/lrr --lambda weighs the LRR error term, so sparse
     # out-of-sample coding takes the sssc default l1 weight instead
@@ -268,6 +271,10 @@ def fit(cfg: RunConfig, data) -> Model:
     t0 = time.perf_counter()
     in_sample, out_of_sample = dataio.uniform_split(n, p, cfg.seed)
     (X,) = dataio.column_blocks(data, [in_sample])
+    projection = None
+    if cfg.pca_energy is not None:
+        projection = dataio.pca_basis(X, cfg.pca_energy)
+        (X,) = dataio.PcaColumns(X, *projection).blocks([np.arange(p)])
     t_sampling = time.perf_counter()
 
     if sparse:
@@ -321,7 +328,7 @@ def fit(cfg: RunConfig, data) -> Model:
     }
     return Model(
         config=cfg, in_sample=in_sample, out_of_sample=out_of_sample,
-        labels=labels, dictionary=dictionary,
+        labels=labels, projection=projection, dictionary=dictionary,
         solver=solver, converged=converged,
         excluded_columns=excluded, stage_seconds=stage_seconds,
     )
@@ -331,7 +338,8 @@ def assign(model: Model, values, columns: np.ndarray) -> tuple[np.ndarray, dict]
     """Code the given sorted ``columns`` of ``values`` (see
     ``dataio.column_blocks``) over the model's dictionary and label each by
     its smallest class residual, without solving the in-sample problem
-    again. Returns the labels, one per column, and the ``reading``,
+    again; the model's projection, if any, is applied as each block is
+    read. Returns the labels, one per column, and the ``reading``,
     ``coding`` and ``classifying`` seconds.
 
     Queries are read ``oos.QUERY_CHUNK`` columns at a time, so no code
@@ -342,6 +350,8 @@ def assign(model: Model, values, columns: np.ndarray) -> tuple[np.ndarray, dict]
     seconds = {"coding": 0.0, "classifying": 0.0, "reading": 0.0}
     if model.dictionary is None:  # p = n leaves no point to assign
         return np.empty(0, dtype=int), seconds
+    if model.projection is not None:
+        values = dataio.PcaColumns(values, *model.projection)
     labels = np.empty(len(columns), dtype=int)
     bad: list = []
     blocks = _chunks(columns)
@@ -395,17 +405,13 @@ class _SumOfSquaresChecked:
 def run_pipeline(cfg: RunConfig, data, truth: np.ndarray | None = None) -> RunReport:
     """Run the configured pipeline on the (m, n) ``data``: an in-memory
     array, or a ``dataio.CsvColumns`` whose rows are parsed as they are
-    needed (see ``dataio.column_blocks``). PCA when asked for, ``fit`` on
-    the in-sample points, then ``assign`` on the rest, so without PCA every
-    column is read exactly once. ``truth``, labels in [0, k) one per
+    needed (see ``dataio.column_blocks``). ``fit`` on the in-sample points,
+    then ``assign`` on the rest, so every column is read, and its sum of
+    squares checked, exactly once. ``truth``, labels in [0, k) one per
     column, is scored against when given."""
     n = data.shape[1]
     _sample_size(cfg, n)  # before any column is read
     source = _SumOfSquaresChecked(data)
-    if cfg.pca_energy is not None:
-        # the basis needs every column; fit and assign then read them again
-        mean, basis = dataio.pca_basis(source.blocks(_chunks(np.arange(n))), cfg.pca_energy)
-        source = dataio.PcaColumns(data, mean, basis)
     t0 = time.perf_counter()
     model = fit(cfg, source)
     out = model.out_of_sample

@@ -225,29 +225,19 @@ def labels_to_assignment(raw: np.ndarray) -> np.ndarray:
     return np.unique(raw, return_inverse=True)[1]
 
 
-def pca_basis(blocks, energy: float) -> tuple[np.ndarray, np.ndarray]:
-    """The mean sample, as an (m, 1) column, and the fewest principal
-    directions, as the columns of an (m, d) basis, that hold ``energy`` of
-    the squared singular-value mass of the column-centered data.
+def pca_basis(X: np.ndarray, energy: float) -> tuple[np.ndarray, np.ndarray]:
+    """The mean of the columns of the (m, p) array ``X``, as an (m, 1)
+    column, and the fewest principal directions, as the columns of an
+    (m, d) basis, that hold ``energy`` of the squared singular-value mass of
+    the column-centered X.
 
-    The data comes as an iterable of (m, ·) column blocks and is never held
-    whole: each block's mean and centered m x m scatter are merged into the
-    running ones (Chan, Golub & LeVeque's pairwise update), and ``eigh`` of
-    the total scatter gives the squared singular values and their
-    directions. d is the smallest count whose cumulative squared singular
-    values reach energy * total.
+    ``eigh`` of the centered m x m scatter gives the squared singular values
+    and their directions; d is the smallest count whose cumulative squared
+    singular values reach energy * total.
     """
-    count, mean, scatter = 0, 0.0, 0.0
-    for V in blocks:
-        size = V.shape[1]
-        block_mean = V.mean(axis=1, keepdims=True)
-        centered = V - block_mean
-        delta = block_mean - mean
-        total = count + size
-        scatter = scatter + centered @ centered.T + (delta @ delta.T) * (count * size / total)
-        mean = mean + delta * (size / total)
-        count = total
-    power, directions = np.linalg.eigh(scatter)
+    mean = X.mean(axis=1, keepdims=True)
+    centered = X - mean
+    power, directions = np.linalg.eigh(centered @ centered.T)
     power, directions = np.maximum(power[::-1], 0.0), directions[:, ::-1]
     total = power.sum()
     if total <= 0.0:
@@ -256,7 +246,7 @@ def pca_basis(blocks, energy: float) -> tuple[np.ndarray, np.ndarray]:
         # tiny slack so energy=1.0 stops at the numerical rank
         target = energy * total * (1.0 - 1e-12)
         d = int(np.searchsorted(np.cumsum(power), target)) + 1
-        d = min(max(d, 1), min(power.size, count))
+        d = min(max(d, 1), min(power.size, X.shape[1]))
     return mean, directions[:, :d]
 
 
@@ -264,7 +254,8 @@ def pca_basis(blocks, energy: float) -> tuple[np.ndarray, np.ndarray]:
 class PcaColumns:
     """The columns of ``data`` (an array or another column source, see
     ``column_blocks``) centered by ``mean`` and projected onto ``basis``,
-    as ``pca_basis`` gives them; each block is projected as it is read."""
+    as ``pca_basis`` gives them from a sample of the columns; each block is
+    projected as it is read, so no column is read twice."""
 
     data: object
     mean: np.ndarray

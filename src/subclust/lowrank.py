@@ -146,7 +146,6 @@ def solve_lrr(Y, cfg: LrrConfig) -> LrrSolution:
         # E-update: prox of the error norm at Y - YC + L1/mu
         YC = A @ C
         E = _error_prox(V - YC + L1 / mu, cfg.error_norm, cfg.lam, mu)
-        err_E = _error_value(E, cfg.error_norm)
 
         R1 = V - YC - E
         R2 = C - J
@@ -161,7 +160,7 @@ def solve_lrr(Y, cfg: LrrConfig) -> LrrSolution:
             converged = True
             break
 
-    objective = nuc_J + cfg.lam * err_E
+    objective = nuc_J + cfg.lam * _error_value(E, cfg.error_norm)
     residual = max(r1, r2) / y_scale
     report = SolverReport(it, objective, residual, converged)
     return LrrSolution(C=Q @ C, E=E, report=report)

@@ -1,16 +1,18 @@
 """Independent reference implementations used to check the solvers.
 
 Everything here deliberately avoids the code paths under test: the l1
-oracle is a plain subgradient descent, the assignment oracle enumerates
-permutations, the k-means oracle enumerates set partitions. The LRR oracle
-is the p x p inexact-ALM iteration that the row-space solver replaced; it
-reuses the proximal steps (tested on their own against closed forms) and
-checks only the reduction to the row space. The per-point out-of-sample
-assignment codes and classifies one point at a time, where
-``classify_codes`` takes a whole batch of codes at once. The FISTA oracle is the lasso loop that
-``solve_lasso`` replaced: separate products for the gradient and for the
-stopping tests, both tested only every tenth iteration. The CSV oracle
-parses every data row of a file cell by cell, without ``numpy.loadtxt``.
+oracle solves the lasso as a bound-constrained quadratic program with
+scipy's L-BFGS-B, to an objective exact within rounding; the assignment
+oracle enumerates permutations, the k-means oracle enumerates set
+partitions. The LRR oracle is the p x p inexact-ALM iteration that the
+row-space solver replaced; it reuses the proximal steps (tested on their
+own against closed forms) and checks only the reduction to the row space.
+The per-point out-of-sample assignment codes and classifies one point at
+a time, where ``classify_codes`` takes a whole batch of codes at once. The
+FISTA oracle is the lasso loop that ``solve_lasso`` replaced: separate
+products for the gradient and for the stopping tests, both tested only
+every tenth iteration. The CSV oracle parses every data row of a file
+cell by cell, without ``numpy.loadtxt``.
 """
 
 from __future__ import annotations
@@ -20,6 +22,7 @@ from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
+from scipy.optimize import minimize
 
 from subclust import dataio, lowrank
 from subclust.errors import UnassignableSampleError
@@ -33,37 +36,25 @@ def lasso_objective(D, y, lam, c):
     return lam * float(r @ r) + float(np.abs(c).sum())
 
 
-def subgradient_lasso_batch(Ds, ys, lams, iterations=1_000_000):
-    """Best objective found by subgradient descent, per instance.
+def qp_lasso(D, y, lam):
+    """Minimum of ``lasso_objective`` over c, from the bound-constrained QP
+    over u = (c+, c-) >= 0 with c = c+ - c-: lam ||y - D(c+ - c-)||^2 +
+    sum(u), a smooth objective whose exact gradient L-BFGS-B follows to
+    ftol 1e-15 and gtol 1e-13."""
+    D = np.asarray(D, dtype=float)
+    y = np.asarray(y, dtype=float).ravel()
+    A = np.hstack([D, -D])
 
-    Ds: (B, m, p), ys: (B, m), lams: (B,). All instances are iterated in
-    lockstep with diminishing steps; the best objective seen is kept.
-    """
-    Ds = np.asarray(Ds, dtype=float)
-    ys = np.asarray(ys, dtype=float)
-    lams = np.asarray(lams, dtype=float)
-    B, m, p = Ds.shape
-    L = np.array([np.linalg.norm(D, 2) ** 2 for D in Ds])
-    gamma0 = 1.0 / (2.0 * lams * L)
+    def value_and_gradient(u):
+        r = y - A @ u
+        return lam * float(r @ r) + float(u.sum()), 1.0 - 2.0 * lam * (A.T @ r)
 
-    c = np.zeros((B, p))
-    two_lam = (2.0 * lams)[:, None]
-
-    def objectives(c):
-        r = ys - np.einsum("bmp,bp->bm", Ds, c)
-        return lams * np.einsum("bm,bm->b", r, r) + np.abs(c).sum(axis=1)
-
-    best = objectives(c)
-    for t in range(iterations):
-        r = ys - np.einsum("bmp,bp->bm", Ds, c)
-        grad = -two_lam * np.einsum("bmp,bm->bp", Ds, r) + np.sign(c)
-        c = c - (gamma0 / np.sqrt(t + 1.0))[:, None] * grad
-        best = np.minimum(best, objectives(c))
-    return best
-
-
-def subgradient_lasso(D, y, lam, iterations=1_000_000):
-    return float(subgradient_lasso_batch(D[None], y[None], np.array([lam]), iterations)[0])
+    u = minimize(
+        value_and_gradient, np.zeros(A.shape[1]), jac=True, method="L-BFGS-B",
+        bounds=[(0.0, None)] * A.shape[1], options={"ftol": 1e-15, "gtol": 1e-13},
+    ).x
+    p = D.shape[1]
+    return lasso_objective(D, y, lam, u[:p] - u[p:])
 
 
 def masked_kkt_violation(correlations, c, tau):

@@ -398,7 +398,7 @@ def test_streamed_parse_errors_name_the_row_and_column(tmp_path, capsys, monkeyp
     assert not out.exists() and not out.with_suffix(".labels").exists()
 
 
-def test_cluster_reads_each_row_once_in_the_blocks_assign_takes(tmp_path, monkeypatch):
+def _cluster_reads_each_row_once(tmp_path, monkeypatch, pca_energy):
     # one scan for the in-sample rows, then one for the query blocks
     monkeypatch.setattr(oos, "QUERY_CHUNK", 16)
     monkeypatch.setattr(dataio, "PARSE_ROWS", 5)
@@ -414,14 +414,62 @@ def test_cluster_reads_each_row_once_in_the_blocks_assign_takes(tmp_path, monkey
     path = tmp_path / "data.csv"
     np.savetxt(path, values.T, fmt="%.17g", delimiter=",")
     out = tmp_path / "x.json"
+    pca = [] if pca_energy is None else ["--pca-energy", str(pca_energy)]
     assert run_cli(
         "cluster", "--algorithm", "sssc", "--input", str(path), "--k", "2", "--p", "20",
-        "--seed", "0", "--output", str(out),
+        "--seed", "0", "--output", str(out), *pca,
     ) == 0
     in_sample, out_of_sample = dataio.uniform_split(80, 20, 0)
     assert read == (in_sample + 1).tolist() + (out_of_sample + 1).tolist()
-    whole = run_pipeline(RunConfig(algorithm="sssc", k=2, p=20, seed=0, input=None, output=None), values)
+    cfg = RunConfig(algorithm="sssc", k=2, p=20, seed=0, pca_energy=pca_energy, input=None, output=None)
+    whole = run_pipeline(cfg, values)
     np.testing.assert_array_equal(np.loadtxt(out.with_suffix(".labels"), dtype=int), whole.labels)
+
+
+def test_cluster_reads_each_row_once_in_the_blocks_assign_takes(tmp_path, monkeypatch):
+    _cluster_reads_each_row_once(tmp_path, monkeypatch, None)
+
+
+def test_cluster_with_pca_reads_each_row_once_in_the_blocks_assign_takes(tmp_path, monkeypatch):
+    # the PCA basis comes from the in-sample rows alone
+    _cluster_reads_each_row_once(tmp_path, monkeypatch, 0.99)
+
+
+PCA_CFG = RunConfig(algorithm="sssc", k=3, p=45, seed=0, pca_energy=0.99, input=None, output=None)
+
+
+def _three_subspaces(seed=2):
+    return dataio.synth_subspaces(**{**PERMUTATION_DATA, "seed": seed}).data
+
+
+def test_projection_depends_only_on_the_in_sample_points():
+    values = _three_subspaces()
+    model = cli.fit(PCA_CFG, values)
+    changed = values.copy()
+    changed[:, model.out_of_sample] = _three_subspaces(seed=7)[:, model.out_of_sample]
+    other = cli.fit(PCA_CFG, changed)
+    for kept, got in zip(model.projection, other.projection):
+        np.testing.assert_array_equal(got, kept)
+    assert model.projection[1].shape[1] < values.shape[0]
+
+
+def test_assign_projects_raw_points_like_run_pipeline():
+    values = _three_subspaces()
+    report = run_pipeline(PCA_CFG, values)
+    model = report.model
+    labels, _ = cli.assign(model, values, model.out_of_sample)
+    np.testing.assert_array_equal(labels, report.labels[model.out_of_sample])
+
+
+def test_projection_of_a_spanning_sample_is_that_of_all_points():
+    # noise-free independent subspaces: a sample that spans each of them
+    # spans their sum, which all n centered points span too
+    values = _three_subspaces()
+    cfg = dataclasses.replace(PCA_CFG, pca_energy=1.0)
+    _, basis = cli.fit(cfg, values).projection
+    _, whole = dataio.pca_basis(values, 1.0)
+    assert basis.shape == whole.shape == (30, 9)
+    np.testing.assert_allclose(basis @ basis.T, whole @ whole.T, rtol=0, atol=1e-10)
 
 
 def test_write_labels_writes_one_line_per_label(tmp_path):
@@ -787,7 +835,9 @@ OUT_OF_RANGE = [
     ("pca_energy", "maximum", 1.5),
 ]
 # the solver schedules that were knobs admit no value now: the values that
-# fell outside their ranges are still refused, as an unknown flag or key
+# fell outside their ranges are still refused, as an unknown flag or key.
+# test_removed_solver_knob_is_usage_error tries each of these values under
+# every algorithm, so these cases repeat it
 REMOVED_OUT_OF_RANGE = [
     ("restarts", "minimum", 0),
     ("kkt_tol", "above", 0.0),
@@ -1055,40 +1105,45 @@ def test_cluster_non_convergence_exits_3_with_report(tmp_path, synth_files):
 
 
 # the solver schedules that are constants of their modules, not knobs:
-# (config key, flag, the value it is fixed at)
+# (config key, flag, the value it is fixed at, then each value that fell
+# outside its range while it was a knob)
 REMOVED_KNOBS = [
-    ("mu_init", "--mu-init", 1e-2),
-    ("rho", "--rho", 1.5),
-    ("mu_max", "--mu-max", 1e10),
-    ("constraint_tol", "--constraint-tol", 1e-7),
-    ("kkt_tol", "--kkt-tol", 1e-4),
-    ("restarts", "--restarts", 20),
-    ("row_normalize", "--row-normalize", True),
+    ("mu_init", "--mu-init", (1e-2, 0.0, 1e11)),
+    ("rho", "--rho", (1.5, 1.0)),
+    ("mu_max", "--mu-max", (1e10, 0.0)),
+    ("constraint_tol", "--constraint-tol", (1e-7, 0.0)),
+    ("kkt_tol", "--kkt-tol", (1e-4, 0.0)),
+    ("restarts", "--restarts", (20, 0)),
+    ("row_normalize", "--row-normalize", (True,)),
 ]
 
 
 @pytest.mark.parametrize("source", ["flag", "config"])
-@pytest.mark.parametrize("key, flag, value", REMOVED_KNOBS, ids=[k for k, _, _ in REMOVED_KNOBS])
+@pytest.mark.parametrize("key, flag, values", REMOVED_KNOBS, ids=[k for k, _, _ in REMOVED_KNOBS])
 def test_removed_solver_knob_is_usage_error(
-    tmp_path, synth_files, capsys, key, flag, value, source
+    tmp_path, synth_files, capsys, key, flag, values, source
 ):
-    # each was accepted, at the value it is now fixed at, while it was a knob
+    # each is refused under every algorithm, at the value it was accepted at
+    # while it was a knob and at the values its range refused
     data, _ = synth_files
     out = tmp_path / "x.json"
-    argv = ["--algorithm", "slrr", "--input", str(data), "--k", "2", "--p", "40",
-            "--seed", "0", "--output", str(out)]
-    if source == "flag":
-        argv += [flag] if value is True else [flag, str(value)]
-    else:
-        cfg_path = tmp_path / "cfg.json"
-        cfg_path.write_text(json.dumps({key: value}))
-        argv += ["--config", str(cfg_path)]
-    rc = run_cli("cluster", *argv)
-    assert rc == 1
-    err = capsys.readouterr().err
-    assert err.count("\n") == 1
-    assert (flag if source == "flag" else repr(key)) in err
-    assert not out.exists() and not out.with_suffix(".labels").exists()
+    for algorithm in cli.ALGORITHMS:
+        for value in values:
+            argv = ["--algorithm", algorithm, "--input", str(data), "--k", "2", "--p", "40",
+                    "--seed", "0", "--output", str(out)]
+            if source == "flag":
+                argv += [flag] if value is True else [flag, str(value)]
+            else:
+                cfg_path = tmp_path / "cfg.json"
+                cfg_path.write_text(json.dumps({key: value}))
+                argv += ["--config", str(cfg_path)]
+            rc = run_cli("cluster", *argv)
+            assert rc == 1, (algorithm, value)
+            err = capsys.readouterr().err
+            assert err.count("\n") == 1
+            assert err.startswith("subclust: error:")
+            assert (flag if source == "flag" else repr(key)) in err
+            assert not out.exists() and not out.with_suffix(".labels").exists()
 
 
 def test_usage_error_exit_code():

@@ -30,7 +30,7 @@ def read_csv(path, has_header=False):
 def pca_project(Y, energy):
     """The in-memory (m, n) array Y projected as ``pca_basis`` of its
     columns says: an array of shape (d, n)."""
-    mean, basis = pca_basis([Y], energy)
+    mean, basis = pca_basis(Y, energy)
     return next(PcaColumns(Y, mean, basis).blocks([np.arange(Y.shape[1])]))
 
 
@@ -224,17 +224,6 @@ def test_pca_energy_fraction_matches_spectrum():
     ratio = power[:d].sum() / power.sum()
     assert ratio >= 0.9
     assert power[: d - 1].sum() / power.sum() < 0.9
-
-
-def test_pca_basis_streamed_over_blocks_matches_one_block():
-    # the pairwise mean and scatter update over blocks of an off-centre cloud
-    rng = np.random.default_rng(3)
-    Y = 1e3 + rng.standard_normal((8, 5)) @ rng.standard_normal((5, 90))
-    mean, basis = pca_basis([Y], 0.999)
-    streamed_mean, streamed = pca_basis([Y[:, :7], Y[:, 7:8], Y[:, 8:50], Y[:, 50:]], 0.999)
-    assert streamed.shape == basis.shape == (8, 5)
-    np.testing.assert_allclose(streamed_mean, mean, rtol=1e-14)
-    np.testing.assert_allclose(np.abs(streamed.T @ basis), np.eye(5), atol=1e-9)
 
 
 # --- uniform_split ----------------------------------------------------------

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from oracles import assign, class_residuals, lasso_objective, subgradient_lasso
+from oracles import assign, class_residuals, lasso_objective, qp_lasso
 from subclust.dataio import synth_subspaces, uniform_split
 from subclust.errors import UnassignableSampleError
 from subclust.oos import build_dictionary, classify_codes, code_batch
@@ -151,8 +151,8 @@ def test_sparse_code_matches_oracle_objective():
     dic = build_dictionary(X, labels, 2, lasso_cfg=cfg)
     c = code_one(dic, xbar)
     f_solver = lasso_objective(X, xbar, lam, c)
-    f_oracle = subgradient_lasso(X, xbar, lam, iterations=300_000)
-    assert f_solver <= f_oracle + 1e-6
+    f_oracle = qp_lasso(X, xbar, lam)
+    assert abs(f_solver - f_oracle) <= 1e-9 * f_oracle
 
 
 # --- class_residuals ----------------------------------------------------------------

@@ -9,7 +9,7 @@ from oracles import (
     fista_every_tenth_lasso,
     lasso_objective,
     masked_kkt_violation,
-    subgradient_lasso,
+    qp_lasso,
 )
 from subclust.dataio import synth_subspaces
 from subclust.sparse_coding import (
@@ -99,10 +99,9 @@ def test_objective_matches_subgradient_oracle():
     lam = 1.0 / (2.0 * tau)
     code = solve_lasso(lasso_dictionary(D), y, strict_cfg(tau))
     f_solver = lasso_objective(D, y, lam, code.coefficients)
-    f_oracle = subgradient_lasso(D, y, lam, iterations=1_000_000)
-    # the solver may only be better; the oracle itself carries O(1/sqrt(T)) slack
-    assert f_solver <= f_oracle + 1e-6
-    assert f_oracle <= f_solver + 1e-2
+    f_oracle = qp_lasso(D, y, lam)
+    # the oracle is exact within rounding, so the two agree both ways
+    assert abs(f_solver - f_oracle) <= 1e-9 * f_oracle
 
 
 def test_kkt_conditions_hold_on_random_problems():
