@@ -274,7 +274,7 @@ def fit(cfg: RunConfig, data) -> Model:
     projection = None
     if cfg.pca_energy is not None:
         projection = dataio.pca_basis(X, cfg.pca_energy)
-        (X,) = dataio.PcaColumns(X, *projection).blocks([np.arange(p)])
+        X = dataio.project(X, projection)
     t_sampling = time.perf_counter()
 
     if sparse:
@@ -302,7 +302,8 @@ def fit(cfg: RunConfig, data) -> Model:
         }
         converged = solution.report.converged
     labels = spectral.spectral_cluster(C, cfg.k, cfg.seed)
-    keep = np.arange(p)
+    # the dictionary takes X itself, not a copy, unless columns are dropped
+    columns, column_labels = X, labels
     excluded: list = []
     if not sparse and out_of_sample.size:
         # drop corrupted in-sample columns from the dictionary; the floor
@@ -310,14 +311,15 @@ def fit(cfg: RunConfig, data) -> Model:
         floor = 1e-3 * float(np.median(np.linalg.norm(X, axis=0)))
         flagged = outlier_columns(solution.E, floor=floor)
         if 0 < flagged.size < p:
-            keep = np.setdiff1d(keep, flagged)
+            keep = np.setdiff1d(np.arange(p), flagged)
+            columns, column_labels = X[:, keep], labels[keep]
             excluded = in_sample[flagged].tolist()
     t_insample = time.perf_counter()
 
     dictionary = None
     if out_of_sample.size:
         dictionary = oos.build_dictionary(
-            X[:, keep], labels[keep], cfg.k,
+            columns, column_labels, cfg.k,
             gamma=cfg.gamma,
             lasso_cfg=lasso_cfg if cfg.oos_coding == "sparse" else None,
         )
@@ -350,8 +352,6 @@ def assign(model: Model, values, columns: np.ndarray) -> tuple[np.ndarray, dict]
     seconds = {"coding": 0.0, "classifying": 0.0, "reading": 0.0}
     if model.dictionary is None:  # p = n leaves no point to assign
         return np.empty(0, dtype=int), seconds
-    if model.projection is not None:
-        values = dataio.PcaColumns(values, *model.projection)
     labels = np.empty(len(columns), dtype=int)
     bad: list = []
     blocks = _chunks(columns)
@@ -360,6 +360,8 @@ def assign(model: Model, values, columns: np.ndarray) -> tuple[np.ndarray, dict]
     for block in blocks:
         t_read = time.perf_counter()
         V = next(reader)
+        if model.projection is not None:
+            V = dataio.project(V, model.projection)
         t0 = time.perf_counter()
         seconds["reading"] += t0 - t_read
         codes = oos.code_batch(model.dictionary, V)

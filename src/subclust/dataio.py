@@ -123,7 +123,7 @@ def scan_csv(path, has_header: bool = False) -> CsvColumns:
 def column_blocks(data, wanted):
     """For each array of sorted column indices in ``wanted``, those columns of
     ``data``: an in-memory (m, n) array, or a source with ``shape`` and
-    ``blocks(wanted)``, such as ``CsvColumns`` and ``PcaColumns``."""
+    ``blocks(wanted)``, such as ``CsvColumns``."""
     if isinstance(data, np.ndarray):
         return (data[:, indices] for indices in wanted)
     return data.blocks(wanted)
@@ -250,26 +250,13 @@ def pca_basis(X: np.ndarray, energy: float) -> tuple[np.ndarray, np.ndarray]:
     return mean, directions[:, :d]
 
 
-@dataclass(frozen=True)
-class PcaColumns:
-    """The columns of ``data`` (an array or another column source, see
-    ``column_blocks``) centered by ``mean`` and projected onto ``basis``,
-    as ``pca_basis`` gives them from a sample of the columns; each block is
-    projected as it is read, so no column is read twice."""
-
-    data: object
-    mean: np.ndarray
-    basis: np.ndarray
-
-    @property
-    def shape(self) -> tuple:
-        return self.basis.shape[1], self.data.shape[1]
-
-    def blocks(self, wanted):
-        """The (d, ·) coordinates of the columns ``column_blocks`` gives,
-        in column-major order like the column blocks of a CSV."""
-        for V in column_blocks(self.data, wanted):
-            yield ((V - self.mean).T @ self.basis).T
+def project(V: np.ndarray, projection: tuple) -> np.ndarray:
+    """The columns of the (m, q) array ``V`` centered by the mean and
+    projected onto the basis of ``projection``, the ``(mean, basis)`` that
+    ``pca_basis`` gives: a (d, q) array in column-major order, like the
+    column blocks of a CSV."""
+    mean, basis = projection
+    return ((V - mean).T @ basis).T
 
 
 def uniform_split(n: int, p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -11,7 +11,12 @@ constraint, since the query point is not in the dictionary) over a lasso
 dictionary whose Gram matrix and step bound are computed once. Ridge codes
 are classified by regularized residuals, sparse codes by plain ones. Each
 class residual ||v - X_j c_j|| is formed directly from the columns X_j of
-class j, which the dictionary keeps as one block per class.
+class j, which the dictionary keeps as one block per class. Under ridge
+coding those blocks are the only copy of the columns the dictionary holds,
+beside the projector; under sparse coding the lasso dictionary holds the
+whole (m, p) array as well. Classification writes every class's X_j c_j into
+one (m, q) buffer and gathers every class's coefficients into one more, both
+allocated once per block of queries.
 """
 
 from __future__ import annotations
@@ -30,16 +35,23 @@ QUERY_CHUNK = 512
 
 @dataclass(frozen=True)
 class ClassDictionary:
-    """The (m, p) in-sample data, the columns of each of its k classes, and
-    what the coding rule uses: the ridge projector, or the lasso dictionary
-    with the l1 weight and stopping rule of sparse coding."""
+    """The columns of each of the k classes of the (m, p) in-sample data,
+    and what the coding rule uses: the ridge projector, or the lasso
+    dictionary with the l1 weight and stopping rule of sparse coding."""
 
-    X: np.ndarray
     class_indices: tuple = field(repr=False)  # one per class, possibly empty
     blocks: tuple = field(repr=False)  # X_j, the columns of class j
     projector: np.ndarray | None = None  # (p, m), equals (X^T X + gamma I)^{-1} X^T
     lasso: LassoDictionary | None = None
     lasso_cfg: SparseSelfRepConfig | None = None
+
+    @property
+    def shape(self) -> tuple:
+        """(m, p): the length of a query and of the dictionary's columns, and
+        the number of those columns, the length of a code."""
+        if self.lasso is not None:
+            return self.lasso.D.shape
+        return self.projector.shape[::-1]
 
 
 def build_dictionary(
@@ -59,12 +71,12 @@ def build_dictionary(
     blocks = tuple(X[:, idx] for idx in class_indices)
     if lasso_cfg is not None:
         return ClassDictionary(
-            X=X, class_indices=class_indices, blocks=blocks,
+            class_indices=class_indices, blocks=blocks,
             lasso=lasso_dictionary(X), lasso_cfg=lasso_cfg,
         )
     U, s, Wt = np.linalg.svd(X, full_matrices=False)
     return ClassDictionary(
-        X=X, class_indices=class_indices, blocks=blocks,
+        class_indices=class_indices, blocks=blocks,
         projector=(Wt.T * (s / (s * s + gamma))) @ U.T,
     )
 
@@ -72,7 +84,7 @@ def build_dictionary(
 def code_batch(dictionary: ClassDictionary, Xbar) -> np.ndarray:
     """Coefficients of every query column, as a (p, n_queries) matrix."""
     V = np.asarray(Xbar, dtype=float)
-    m, p = dictionary.X.shape
+    m, p = dictionary.shape
     if V.ndim != 2 or V.shape[0] != m:
         raise ValueError(f"queries must be {m} x q, got shape {V.shape}")
     if dictionary.lasso is None:
@@ -98,10 +110,13 @@ def classify_codes(dictionary: ClassDictionary, Xbar, codes: np.ndarray) -> np.n
     if q == 0:
         return np.empty(0, dtype=int)
     residuals = np.full((len(dictionary.class_indices), q), np.inf)
+    # X_j c_j in V's memory order, so that R -= V walks both arrays alike
+    R = np.empty_like(V)
+    gathered = np.empty((max(idx.size for idx in dictionary.class_indices), q))
     for j, (idx, block) in enumerate(zip(dictionary.class_indices, dictionary.blocks)):
-        coeffs = codes[idx, :]
-        # X_j c_j in V's memory order, so that R -= V walks both arrays alike
-        R = np.matmul(block, coeffs, out=np.empty_like(V))
+        # mode="clip" writes straight into out; the default buffers a copy
+        coeffs = np.take(codes, idx, axis=0, out=gathered[: idx.size], mode="clip")
+        np.matmul(block, coeffs, out=R)
         R -= V
         res = np.sqrt(np.einsum("ij,ij->j", R, R))
         if dictionary.lasso is None:  # ridge coding: regularized residuals

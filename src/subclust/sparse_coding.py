@@ -21,6 +21,8 @@ when G is not formed. The product at the extrapolated point follows from
 the momentum step's linearity. The residual rule ||y - D c||_2 <= delta is
 tested at every iterate, as y^T y - 2 (D^T y)^T c + c^T G c from the stored
 G c; the stationarity (KKT) conditions are tested every KKT_EVERY iterations.
+The solver's schedule, KKT_EVERY and the KKT tolerance KKT_TOL, is fixed
+here; only the l1 weight, the residual rule and the iteration cap are knobs.
 """
 
 from __future__ import annotations
@@ -37,6 +39,11 @@ SNAP_TOL = 1e-12
 # at every iterate
 KKT_EVERY = 10
 
+# a solve has converged once its worst stationarity (KKT) violation, relative
+# to the larger of lam and the initial correlation scale ||D^T y||_inf, is
+# at most this
+KKT_TOL = 1e-4
+
 
 @dataclass(frozen=True)
 class SparseSelfRepConfig:
@@ -48,13 +55,11 @@ class SparseSelfRepConfig:
                    iterate; the KKT test runs every KKT_EVERY iterations)
     max_iterations iteration cap; hitting it returns the best iterate with
                    converged=False
-    kkt_tol        relative stationarity tolerance for declaring convergence
     """
 
     lam: float = 1e-5
     delta: float = 1e-3
     max_iterations: int = 20000
-    kkt_tol: float = 1e-4
 
 
 @dataclass(frozen=True)
@@ -151,7 +156,7 @@ def solve_lasso(
     -------
     SparseCode with coefficients snapped to exact zero below 1e-12 and a
     report whose ``converged`` flag means the stationarity conditions hold
-    at cfg.kkt_tol (or the data residual fell below cfg.delta).
+    at KKT_TOL (or the data residual fell below cfg.delta).
     """
     D = prep.D
     y = np.asarray(y, dtype=float).ravel()
@@ -243,7 +248,7 @@ def solve_lasso(
             corr = b - Gx
             if exclude is not None:
                 corr[exclude] = 0.0
-            if kkt_violation(corr, x, tau) * tau / denom <= cfg.kkt_tol:
+            if kkt_violation(corr, x, tau) * tau / denom <= KKT_TOL:
                 converged = True
                 break
         t_new = 0.5 * (1.0 + sqrt(1.0 + 4.0 * t * t))

@@ -24,7 +24,7 @@ import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import minimize
 
-from subclust import dataio, lowrank
+from subclust import dataio, lowrank, sparse_coding
 from subclust.errors import UnassignableSampleError
 from subclust.lowrank import LrrConfig, _error_prox, _error_value, svt
 from subclust.sparse_coding import SNAP_TOL, soft_threshold
@@ -75,7 +75,8 @@ def fista_every_tenth_lasso(prep, y, cfg, exclude=None):
     Each step takes the gradient at the extrapolated point with its own
     product; every tenth iteration (and at the cap) a second product gives
     the correlations and the residual, and the loop stops when the KKT
-    violation is within cfg.kkt_tol or the residual within cfg.delta.
+    violation is within ``sparse_coding.KKT_TOL`` or the residual within
+    cfg.delta.
     """
     D = prep.D
     y = np.asarray(y, dtype=float).ravel()
@@ -120,7 +121,7 @@ def fista_every_tenth_lasso(prep, y, cfg, exclude=None):
                 res = float(np.linalg.norm(r))
             if exclude is not None:
                 corr[exclude] = 0.0
-            if masked_kkt_violation(corr, x, tau) * tau / denom <= cfg.kkt_tol:
+            if masked_kkt_violation(corr, x, tau) * tau / denom <= sparse_coding.KKT_TOL:
                 break
             if cfg.delta > 0 and res <= cfg.delta:
                 break
@@ -292,16 +293,14 @@ def class_residuals(dictionary, xbar, cbar, regularized=True):
     """
     xbar = np.asarray(xbar, dtype=float).ravel()
     cbar = np.asarray(cbar, dtype=float).ravel()
-    if cbar.size != dictionary.X.shape[1]:
-        raise ValueError(
-            f"code has length {cbar.size}, dictionary has {dictionary.X.shape[1]} columns"
-        )
-    V = dictionary.X
+    p = dictionary.shape[1]
+    if cbar.size != p:
+        raise ValueError(f"code has length {cbar.size}, dictionary has {p} columns")
     out = np.empty(len(dictionary.class_indices))
-    for j, idx in enumerate(dictionary.class_indices):
+    for j, (idx, block) in enumerate(zip(dictionary.class_indices, dictionary.blocks)):
         coeffs = cbar[idx]
         norm_j = float(np.linalg.norm(coeffs))
-        res = float(np.linalg.norm(xbar - V[:, idx] @ coeffs))
+        res = float(np.linalg.norm(xbar - block @ coeffs))
         if regularized:
             out[j] = res / norm_j if norm_j > 0 else np.inf
         else:

@@ -22,7 +22,7 @@ from oracles import (
     lasso_objective,
     qp_lasso,
 )
-from subclust import dataio, metrics
+from subclust import dataio, metrics, sparse_coding
 from subclust.cli import main
 from subclust.lowrank import LrrConfig, l21_shrink, outlier_columns, solve_lrr, svt
 from subclust.sparse_coding import (
@@ -128,7 +128,7 @@ def test_criterion_2_theorem3_slrr_exactness(tmp_path):
             assert exact_seeds >= 9, f"k={k}: only {exact_seeds}/10 exact"
 
 
-def test_criterion_3_affinity_block_structure():
+def test_criterion_3_affinity_block_structure(monkeypatch):
     with criterion(3, "inter-subspace affinity mass ratio <= 1e-3"):
         dataset = dataio.synth_subspaces(
             k=2, ambient=50, dim_per=[4, 4], points_per=[40, 40], seed=1
@@ -136,7 +136,8 @@ def test_criterion_3_affinity_block_structure():
         labels = dataset.truth
         inter = labels[:, None] != labels[None, :]
 
-        cfg = SparseSelfRepConfig(lam=1e-5, delta=0.0, kkt_tol=1e-6)
+        monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-6)
+        cfg = SparseSelfRepConfig(lam=1e-5, delta=0.0)
         C_sparse, _ = sparse_self_representation(dataset.data, cfg)
         A = np.abs(C_sparse) + np.abs(C_sparse).T
         assert A.sum() > 0
@@ -172,7 +173,7 @@ def test_criterion_4_corruption_support_recovery():
         assert exact >= 8, f"only {exact}/10 exact support recoveries"
 
 
-def test_criterion_5_solver_oracles():
+def test_criterion_5_solver_oracles(monkeypatch):
     with criterion(5, "solver oracles: lasso QP, LRR rank, closed forms"):
         # (a) lasso objective vs an exact QP solve, both ways, 50 instances
         rng = np.random.default_rng(50)
@@ -182,10 +183,9 @@ def test_criterion_5_solver_oracles():
         taus = 0.2 * np.max(np.abs(np.einsum("bmp,bm->bp", Ds, ys)), axis=1)
         lams = 1.0 / (2.0 * taus)
         solver_objs = np.empty(B)
+        monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-8)
         for i in range(B):
-            cfg = SparseSelfRepConfig(
-                lam=taus[i], delta=0.0, kkt_tol=1e-8, max_iterations=100_000
-            )
+            cfg = SparseSelfRepConfig(lam=taus[i], delta=0.0, max_iterations=100_000)
             code = solve_lasso(lasso_dictionary(Ds[i]), ys[i], cfg)
             solver_objs[i] = lasso_objective(Ds[i], ys[i], lams[i], code.coefficients)
         oracle_objs = np.array([qp_lasso(Ds[i], ys[i], lams[i]) for i in range(B)])

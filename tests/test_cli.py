@@ -1169,6 +1169,28 @@ def _fitted(mode, n_queries, algorithm="sssc", p=40, ambient=30):
 
 
 @pytest.mark.parametrize("mode", cli.CODING_MODES)
+def test_fit_builds_the_dictionary_on_the_in_sample_array_itself(monkeypatch, mode):
+    # under sssc no column is dropped, so the dictionary takes the array the
+    # self-representation was solved on, not a copy of its columns
+    solved, built = [], []
+    represent, build = cli.sparse_self_representation, oos.build_dictionary
+
+    def representing(Y, cfg):
+        solved.append(Y)
+        return represent(Y, cfg)
+
+    def building(X, *args, **kwargs):
+        built.append(X)
+        return build(X, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "sparse_self_representation", representing)
+    monkeypatch.setattr(oos, "build_dictionary", building)
+    _fitted(mode, 10)
+    assert len(solved) == len(built) == 1
+    assert built[0] is solved[0]
+
+
+@pytest.mark.parametrize("mode", cli.CODING_MODES)
 def test_assign_streams_blocks_like_one_batch(monkeypatch, mode):
     # a small block keeps the sparse case's per-query lassos few; assign
     # reads the block size at call time

@@ -8,10 +8,10 @@ from hypothesis import strategies as st
 from oracles import cell_parsed_csv
 from subclust import dataio
 from subclust.dataio import (
-    PcaColumns,
     labels_to_assignment,
     load_labels,
     pca_basis,
+    project,
     scan_csv,
     synth_subspaces,
     uniform_split,
@@ -30,8 +30,7 @@ def read_csv(path, has_header=False):
 def pca_project(Y, energy):
     """The in-memory (m, n) array Y projected as ``pca_basis`` of its
     columns says: an array of shape (d, n)."""
-    mean, basis = pca_basis(Y, energy)
-    return next(PcaColumns(Y, mean, basis).blocks([np.arange(Y.shape[1])]))
+    return project(Y, pca_basis(Y, energy))
 
 
 # --- load_csv -------------------------------------------------------------
@@ -187,7 +186,7 @@ def test_load_labels_bad_line(tmp_path):
         load_labels(path)
 
 
-# --- pca_basis and PcaColumns --------------------------------------------
+# --- pca_basis and project -----------------------------------------------
 
 
 def test_pca_rank_one_matrix_keeps_one_direction():

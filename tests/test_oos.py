@@ -1,7 +1,12 @@
+import dataclasses
+import itertools
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from oracles import assign, class_residuals, lasso_objective, qp_lasso
+from subclust import sparse_coding
 from subclust.dataio import synth_subspaces, uniform_split
 from subclust.errors import UnassignableSampleError
 from subclust.oos import build_dictionary, classify_codes, code_batch
@@ -51,6 +56,35 @@ def test_projector_satisfies_normal_equations():
         dic = build_dictionary(X, labels, 3, gamma=1e-6)
         lhs = (X.T @ X + 1e-6 * np.eye(30)) @ dic.projector
         assert np.linalg.norm(lhs - X.T) / np.linalg.norm(X.T) <= 1e-8
+
+
+def float_arrays(obj):
+    """Every float array reachable from ``obj`` through dataclass fields
+    and tuples."""
+    if isinstance(obj, np.ndarray):
+        if obj.dtype.kind == "f":
+            yield obj
+    elif isinstance(obj, tuple):
+        for item in obj:
+            yield from float_arrays(item)
+    elif dataclasses.is_dataclass(obj):
+        for f in dataclasses.fields(obj):
+            yield from float_arrays(getattr(obj, f.name))
+
+
+def test_ridge_dictionary_holds_its_columns_once():
+    # the class blocks and the (p, m) projector, and nothing else: no
+    # second copy of the (m, p) columns
+    m, p = 30, 45
+    X = np.random.default_rng(2).standard_normal((m, p))
+    labels = np.arange(p) % 3
+    dic = build_dictionary(X, labels, 3)
+    arrays = list(float_arrays(dic))
+    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+    assert sum(a.nbytes for a in arrays) == 2 * m * p * 8
+    for j, block in enumerate(dic.blocks):
+        np.testing.assert_array_equal(block, X[:, labels == j])
+    assert dic.shape == (m, p)
 
 
 def test_build_dictionary_validates():
@@ -116,13 +150,14 @@ def test_ridge_code_dimension_mismatch():
 # --- sparse coding ------------------------------------------------------------
 
 
-def test_sparse_code_stays_in_subspace():
+def test_sparse_code_stays_in_subspace(monkeypatch):
     ds = synth_subspaces(k=2, ambient=30, dim_per=[3, 3],
                          points_per=[20, 20], seed=4)
     in_sample, out_of_sample = uniform_split(40, 30, seed=0)
     X = ds.data[:, in_sample]
     labels = ds.truth[in_sample]
-    cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0, kkt_tol=1e-6)
+    monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-6)
+    cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0)
     dic = build_dictionary(X, labels, 2, lasso_cfg=cfg)
     j = out_of_sample[0]
     c = code_one(dic, ds.data[:, j])
@@ -140,14 +175,15 @@ def test_sparse_code_large_delta_gives_zero():
     assert not c.any()
 
 
-def test_sparse_code_matches_oracle_objective():
+def test_sparse_code_matches_oracle_objective(monkeypatch):
     rng = np.random.default_rng(5)
     X = rng.standard_normal((5, 8))
     labels = np.arange(8) % 2
     xbar = rng.standard_normal(5)
     tau = 0.2 * np.max(np.abs(X.T @ xbar))
     lam = 1.0 / (2.0 * tau)
-    cfg = SparseSelfRepConfig(lam=tau, delta=0.0, kkt_tol=1e-8, max_iterations=100_000)
+    monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-8)
+    cfg = SparseSelfRepConfig(lam=tau, delta=0.0, max_iterations=100_000)
     dic = build_dictionary(X, labels, 2, lasso_cfg=cfg)
     c = code_one(dic, xbar)
     f_solver = lasso_objective(X, xbar, lam, c)
@@ -352,3 +388,22 @@ def test_classify_codes_breaks_near_ties_by_the_exact_residual(lasso_cfg):
         a, e = rng.standard_normal(50), rng.standard_normal(50)
         dic = build_dictionary(np.column_stack([a, a + 1e-9 * e]), labels, 2, lasso_cfg=lasso_cfg)
         assert classify_codes(dic, a[:, None], np.ones((2, 1)))[0] == 0
+
+
+def test_classify_codes_holds_one_residual_buffer():
+    # one (m, q) buffer for every class's X_j c_j, and one for the gathered
+    # coefficients: the peak stays below two (m, q) arrays
+    m, p, q, k = 300, 400, 512, 4
+    rng = np.random.default_rng(17)
+    dic = build_dictionary(rng.standard_normal((m, p)), np.arange(p) % k, k)
+    Xbar = np.asfortranarray(rng.standard_normal((m, q)))  # column-major, like a CSV block
+    codes = code_batch(dic, Xbar)
+    tracemalloc.start()
+    try:
+        labels = classify_codes(dic, Xbar, codes)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * m * q * 8
+    expected = [np.argmin(class_residuals(dic, Xbar[:, j], codes[:, j])) for j in range(q)]
+    np.testing.assert_array_equal(labels, expected)

@@ -11,6 +11,7 @@ from oracles import (
     masked_kkt_violation,
     qp_lasso,
 )
+from subclust import sparse_coding
 from subclust.dataio import synth_subspaces
 from subclust.sparse_coding import (
     SparseSelfRepConfig,
@@ -22,12 +23,18 @@ from subclust.sparse_coding import (
 )
 
 
-def strict_cfg(tau, **kw):
+@pytest.fixture(autouse=True, scope="module")
+def strict_kkt_tol():
+    """Every solve in this module stops on the KKT test at 1e-8, unless a
+    test sets ``sparse_coding.KKT_TOL`` to another value of its own."""
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(sparse_coding, "KKT_TOL", 1e-8)
+        yield
+
+
+def strict_cfg(tau):
     """Config with l1 weight tau, no early stop."""
-    args = dict(lam=tau, delta=0.0, kkt_tol=1e-8,
-                max_iterations=100_000)
-    args.update(kw)
-    return SparseSelfRepConfig(**args)
+    return SparseSelfRepConfig(lam=tau, delta=0.0, max_iterations=100_000)
 
 
 # --- soft_threshold ---------------------------------------------------------
@@ -122,7 +129,8 @@ def test_kkt_conditions_hold_on_random_problems():
             assert np.all(np.sign(corr[on]) == np.sign(c[on]))
 
 
-def test_support_monotone_in_weight():
+def test_support_monotone_in_weight(monkeypatch):
+    monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-7)
     rng = np.random.default_rng(11)
     for _ in range(5):
         D = rng.standard_normal((5, 8))
@@ -130,7 +138,7 @@ def test_support_monotone_in_weight():
         top = np.max(np.abs(D.T @ y))
         prev = np.inf
         for tau in np.geomspace(1e-4 * top, 2.0 * top, 10):
-            code = solve_lasso(lasso_dictionary(D), y, strict_cfg(tau, kkt_tol=1e-7))
+            code = solve_lasso(lasso_dictionary(D), y, strict_cfg(tau))
             l1 = np.abs(code.coefficients).sum()
             assert l1 <= prev + 1e-9
             prev = l1
@@ -156,26 +164,26 @@ def test_dimension_mismatch_rejected():
         solve_lasso(lasso_dictionary(np.ones((3, 2))), np.ones(4), SparseSelfRepConfig())
 
 
-def test_non_convergence_returns_best_iterate():
+def test_non_convergence_returns_best_iterate(monkeypatch):
+    monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-14)
     rng = np.random.default_rng(1)
     D = rng.standard_normal((5, 8))
     y = rng.standard_normal(5)
     tau = 0.1 * np.max(np.abs(D.T @ y))
-    cfg = SparseSelfRepConfig(lam=tau, delta=0.0, kkt_tol=1e-14,
-                              max_iterations=3)
+    cfg = SparseSelfRepConfig(lam=tau, delta=0.0, max_iterations=3)
     code = solve_lasso(lasso_dictionary(D), y, cfg)
     assert not code.report.converged
     assert code.report.iterations == 3
     assert np.all(np.isfinite(code.coefficients))
 
 
-def test_delta_stops_early():
+def test_delta_stops_early(monkeypatch):
+    monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-12)
     rng = np.random.default_rng(2)
     D = rng.standard_normal((5, 8))
     y = rng.standard_normal(5)
     tau = 1e-4 * np.max(np.abs(D.T @ y))
-    cfg = SparseSelfRepConfig(lam=tau, delta=0.5 * np.linalg.norm(y),
-                              kkt_tol=1e-12, max_iterations=10_000)
+    cfg = SparseSelfRepConfig(lam=tau, delta=0.5 * np.linalg.norm(y), max_iterations=10_000)
     code = solve_lasso(lasso_dictionary(D), y, cfg)
     assert code.report.converged
     assert code.report.residual_norm < 0.5 * np.linalg.norm(y)
@@ -183,7 +191,7 @@ def test_delta_stops_early():
 
 @pytest.mark.parametrize("exclude", [None, 3])
 @pytest.mark.parametrize("shape", [(12, 20), (6, 20)])  # Gram path, then not
-def test_matches_the_every_tenth_iteration_loop(shape, exclude):
+def test_matches_the_every_tenth_iteration_loop(monkeypatch, shape, exclude):
     rng = np.random.default_rng(21)
     D = rng.standard_normal(shape)
     prep = lasso_dictionary(D)
@@ -195,7 +203,8 @@ def test_matches_the_every_tenth_iteration_loop(shape, exclude):
         if exclude is not None:
             b[exclude] = 0.0
         tau = 0.1 * np.max(np.abs(b))
-        strict = strict_cfg(tau, kkt_tol=1e-10)
+        monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-10)
+        strict = strict_cfg(tau)
         code = solve_lasso(prep, y, strict, exclude=exclude)
         reference, _ = fista_every_tenth_lasso(prep, y, strict, exclude)
         assert code.report.converged
@@ -204,8 +213,8 @@ def test_matches_the_every_tenth_iteration_loop(shape, exclude):
             assert code.coefficients[exclude] == 0.0
         # a residual tolerance just above the optimum's stops both loops on it
         delta = 1.05 * code.report.residual_norm
-        early = SparseSelfRepConfig(lam=tau, delta=delta, kkt_tol=1e-12,
-                                    max_iterations=100_000)
+        monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-12)
+        early = SparseSelfRepConfig(lam=tau, delta=delta, max_iterations=100_000)
         code = solve_lasso(prep, y, early, exclude=exclude)
         _, iterations = fista_every_tenth_lasso(prep, y, early, exclude)
         assert code.report.converged
@@ -236,10 +245,11 @@ def test_duplicate_columns_code_each_other():
     np.testing.assert_allclose(C, [[0.0, 1.0], [1.0, 0.0]], atol=1e-4)
 
 
-def test_two_subspace_representation_is_block_diagonal():
+def test_two_subspace_representation_is_block_diagonal(monkeypatch):
+    monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-6)
     ds = synth_subspaces(k=2, ambient=30, dim_per=[3, 3],
                          points_per=[20, 20], seed=4)
-    C, _ = sparse_self_representation(ds.data, strict_cfg(1e-4, kkt_tol=1e-6))
+    C, _ = sparse_self_representation(ds.data, strict_cfg(1e-4))
     labels = ds.truth
     inter = np.abs(C)[labels[:, None] != labels[None, :]]
     assert inter.max() <= 1e-6

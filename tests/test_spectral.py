@@ -9,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import all_partitions, wcss
-from subclust import spectral
+from subclust import sparse_coding, spectral
 from subclust.dataio import synth_subspaces
 from subclust.errors import DegenerateAffinityError
 from subclust.metrics import accuracy
@@ -293,20 +293,22 @@ def test_spectral_cluster_block_diagonal_exact():
     assert accuracy(out, truth) == 1.0
 
 
-def test_spectral_cluster_on_sparse_representation():
+def test_spectral_cluster_on_sparse_representation(monkeypatch):
     ds = synth_subspaces(k=2, ambient=30, dim_per=[3, 3],
                          points_per=[20, 20], seed=6)
-    cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0, kkt_tol=1e-6)
+    monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-6)
+    cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0)
     C, _ = sparse_self_representation(ds.data, cfg)
     out = spectral_cluster(C, 2, seed=0)
     assert accuracy(out, ds.truth) == 1.0
 
 
-def test_spectral_cluster_subnormal_coefficients_give_the_same_partition():
+def test_spectral_cluster_subnormal_coefficients_give_the_same_partition(monkeypatch):
     # D^{-1/2} of subnormal degrees is above 1e154; its outer product would
     # overflow to inf, and inf * 0 fill L with nan
     ds = synth_subspaces(k=2, ambient=30, dim_per=[3, 3], points_per=[20, 20], seed=6)
-    cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0, kkt_tol=1e-6)
+    monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-6)
+    cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0)
     C, _ = sparse_self_representation(ds.data, cfg)
     tiny = np.ldexp(C, -1040)
     assert 0.0 < np.abs(tiny).max() < np.finfo(float).tiny
@@ -319,10 +321,11 @@ def test_spectral_cluster_zero_coefficients_raise():
         spectral_cluster(np.zeros((4, 4)), 2, seed=0)
 
 
-def test_spectral_cluster_permutation_invariance():
+def test_spectral_cluster_permutation_invariance(monkeypatch):
     ds = synth_subspaces(k=2, ambient=20, dim_per=[2, 2],
                          points_per=[15, 15], seed=7)
-    cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0, kkt_tol=1e-6)
+    monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-6)
+    cfg = SparseSelfRepConfig(lam=1e-4, delta=0.0)
     C, _ = sparse_self_representation(ds.data, cfg)
     out = spectral_cluster(C, 2, seed=0)
     base = accuracy(out, ds.truth)
