@@ -3,6 +3,9 @@
 CSV files are row-per-sample; internally a data set is an (m, n) float
 array whose columns are the samples, and labels are an int array with one
 entry per column. All stochastic operations take one explicit integer seed.
+The draws of clustering come from the standard library's ``random.Random``
+(``uniform_doubles``), so ``cluster`` never loads numpy.random; only the
+synthetic generator uses numpy's Generator.
 """
 
 from __future__ import annotations
@@ -10,6 +13,7 @@ from __future__ import annotations
 import contextlib
 import csv
 import itertools
+import random
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -259,14 +263,31 @@ def project(V: np.ndarray, projection: tuple) -> np.ndarray:
     return ((V - mean).T @ basis).T
 
 
+def uniform_doubles(count: int, *key) -> np.ndarray:
+    """``count`` doubles uniform on [0, 1), 53 random bits each, from a
+    standard-library ``random.Random`` seeded by ``key``: a stream name and
+    the integers that select the stream, such as ``("kmeans", seed,
+    restart)``. Distinct keys seed the generator with distinct strings, so
+    their streams are unrelated. The whole array takes one ``randbytes``
+    call."""
+    words = np.frombuffer(random.Random(" ".join(map(str, key))).randbytes(8 * count), dtype="<u8")
+    return (words >> 11) * 2.0**-53
+
+
 def uniform_split(n: int, p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
     """(in_sample, out_of_sample): p of the indices 0..n-1 drawn uniformly
     without replacement and the other n - p, each sorted; deterministic in
-    seed."""
+    seed.
+
+    The p indices are those of the p smallest of n draws of
+    ``uniform_doubles(n, "uniform_split", seed)``, from the standard
+    library's generator; versions before it drew a numpy permutation, so
+    the sample at a given seed differs from theirs."""
     if p < 1 or p > n:
         raise ValueError(f"p must satisfy 1 <= p <= n, got p={p}, n={n}")
-    perm = np.random.default_rng(seed).permutation(n)
-    return np.sort(perm[:p]), np.sort(perm[p:])
+    chosen = np.zeros(n, dtype=bool)
+    chosen[np.argpartition(uniform_doubles(n, "uniform_split", seed), p - 1)[:p]] = True
+    return np.flatnonzero(chosen), np.flatnonzero(~chosen)
 
 
 def synth_subspaces(

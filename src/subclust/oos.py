@@ -16,7 +16,8 @@ coding those blocks are the only copy of the columns the dictionary holds,
 beside the projector; under sparse coding the lasso dictionary holds the
 whole (m, p) array as well. Classification writes every class's X_j c_j into
 one (m, q) buffer and gathers every class's coefficients into one more, both
-allocated once per block of queries.
+allocated once per block of queries; the residual and coefficient norms are
+summed in place, with no squared copy.
 """
 
 from __future__ import annotations
@@ -120,7 +121,7 @@ def classify_codes(dictionary: ClassDictionary, Xbar, codes: np.ndarray) -> np.n
         R -= V
         res = np.sqrt(np.einsum("ij,ij->j", R, R))
         if dictionary.lasso is None:  # ridge coding: regularized residuals
-            norms = np.linalg.norm(coeffs, axis=0)
+            norms = np.sqrt(np.einsum("ij,ij->j", coeffs, coeffs))
             ok = norms > 0
             residuals[j, ok] = res[ok] / norms[ok]
         else:

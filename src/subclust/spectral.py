@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataio import uniform_doubles
 from .errors import DegenerateAffinityError
 
 # the blockwise n x n passes work on strips of BLOCK rows or on BLOCK x BLOCK
@@ -135,8 +136,9 @@ def _filtered_eigenpairs(L: np.ndarray, k: int):
 
     Past that bound the filter grows instead of damping, and eigenvectors
     it grows could crowd wanted ones out of the block."""
-    start = np.random.default_rng(0).standard_normal((k + FILTER_GUARD, L.shape[0]))
-    theta, X, _ = _rayleigh_ritz(L, np.linalg.qr(start.T)[0].T)
+    n = L.shape[0]
+    start = uniform_doubles((k + FILTER_GUARD) * n, "eigensolver start").reshape(n, -1) - 0.5
+    theta, X, _ = _rayleigh_ritz(L, np.linalg.qr(start)[0].T)
     for _ in range(FILTER_MAX_PASSES):
         if theta[-1] >= SPECTRUM_TOP:
             return None
@@ -154,10 +156,12 @@ def smallest_eigenvectors(L: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     rows of ``vectors`` embed the samples.
 
     L must be symmetric within 1e-8. The pairs come from the filtered
-    subspace iteration, from a fixed start block, so results are
-    deterministic; its filter takes the spectrum to lie in [0, SPECTRUM_TOP],
-    as a normalized Laplacian's does. Dense ``eigh`` (of L's lower triangle)
-    runs instead when k + FILTER_GUARD >= n, when the iteration has not
+    subspace iteration, from a fixed start block of entries uniform on
+    [-0.5, 0.5), drawn from the standard library's generator under one
+    fixed key (``dataio.uniform_doubles``), so results are deterministic;
+    its filter takes the spectrum to lie in [0, SPECTRUM_TOP], as a
+    normalized Laplacian's does. Dense ``eigh`` (of L's lower triangle) runs
+    instead when k + FILTER_GUARD >= n, when the iteration has not
     converged after FILTER_MAX_PASSES passes, and when a Ritz value shows the
     spectrum passing SPECTRUM_TOP, so no result rests on that bound.
     """
@@ -178,17 +182,22 @@ def smallest_eigenvectors(L: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray
     return eigenvalues[:k], vectors[:, :k]
 
 
-def _kmeans_pp_centers(points: np.ndarray, k: int, rng: np.random.Generator) -> np.ndarray:
+def _kmeans_pp_centers(points: np.ndarray, k: int, u: np.ndarray) -> np.ndarray:
+    """k-means++ centers from the k doubles ``u`` uniform on [0, 1): u[0]
+    picks the first center uniformly, u[c] the c-th with probability
+    proportional to d2, the squared distance to the nearest center so far.
+    Under round-to-nearest u * t < t for every t > 0, so each pick is in
+    range, and a point of zero weight never is one."""
     n = points.shape[0]
     centers = np.empty((k, points.shape[1]))
-    centers[0] = points[int(rng.integers(n))]
+    centers[0] = points[int(u[0] * n)]
     d2 = np.sum((points - centers[0]) ** 2, axis=1)
     for c in range(1, k):
-        total = d2.sum()
-        if total <= 0:  # all remaining points coincide with a center
-            idx = int(rng.integers(n))
+        cum = np.cumsum(d2)
+        if cum[-1] <= 0:  # all remaining points coincide with a center
+            idx = int(u[c] * n)
         else:
-            idx = int(rng.choice(n, p=d2 / total))
+            idx = int(np.searchsorted(cum, u[c] * cum[-1], side="right"))
         centers[c] = points[idx]
         d2 = np.minimum(d2, np.sum((points - centers[c]) ** 2, axis=1))
     return centers
@@ -223,9 +232,12 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     """Labels in [0, k) from the best of KMEANS_RESTARTS Lloyd iterations
     from k-means++ seeding.
 
-    Each restart draws from its own generator seeded by (seed, restart), so
-    the result does not depend on evaluation order. Ties between restarts go
-    to the earlier restart.
+    Each restart takes its k draws from its own standard-library generator,
+    keyed by ("kmeans", seed, restart) through ``dataio.uniform_doubles``,
+    so the result does not depend on evaluation order and no restart shares
+    a stream with the split. Versions before it drew from numpy's
+    Generator, so labels at a given seed differ from theirs. Ties between
+    restarts go to the earlier restart.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:
@@ -237,8 +249,7 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     best_labels = None
     best_obj = np.inf
     for r in range(KMEANS_RESTARTS):
-        rng = np.random.default_rng([seed, r])
-        centers = _kmeans_pp_centers(points, k, rng)
+        centers = _kmeans_pp_centers(points, k, uniform_doubles(k, "kmeans", seed, r))
         labels, _, obj = _lloyd(points, centers)
         if obj < best_obj:
             best_obj = obj

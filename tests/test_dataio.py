@@ -229,9 +229,22 @@ def test_pca_energy_fraction_matches_spectrum():
 
 
 def test_split_full_sample_is_degenerate():
-    in_sample, out_of_sample = uniform_split(5, 5, seed=123)
-    np.testing.assert_array_equal(in_sample, np.arange(5))
-    assert out_of_sample.size == 0
+    for n, seed in [(5, 123), (1, 0), (2, 1), (100, 0), (1000, 4242)]:
+        in_sample, out_of_sample = uniform_split(n, n, seed)
+        np.testing.assert_array_equal(in_sample, np.arange(n))
+        assert out_of_sample.size == 0
+
+
+def test_uniform_doubles_fill_the_unit_interval_per_key():
+    a = dataio.uniform_doubles(10_000, "kmeans", 3, 1)
+    assert a.shape == (10_000,) and a.dtype == np.float64
+    assert 0.0 <= a.min() and a.max() < 1.0
+    assert abs(a.mean() - 0.5) < 5 * np.sqrt(1 / 12 / a.size)
+    np.testing.assert_array_equal(a, dataio.uniform_doubles(10_000, "kmeans", 3, 1))
+    # the first draws are those of a longer array with the same key
+    np.testing.assert_array_equal(a[:10], dataio.uniform_doubles(10, "kmeans", 3, 1))
+    for other in [("kmeans", 3, 2), ("kmeans", 31), ("uniform_split", 3)]:
+        assert not np.array_equal(a[:10], dataio.uniform_doubles(10, *other))
 
 
 def test_split_deterministic():

@@ -390,10 +390,14 @@ def test_classify_codes_breaks_near_ties_by_the_exact_residual(lasso_cfg):
         assert classify_codes(dic, a[:, None], np.ones((2, 1)))[0] == 0
 
 
-def test_classify_codes_holds_one_residual_buffer():
-    # one (m, q) buffer for every class's X_j c_j, and one for the gathered
-    # coefficients: the peak stays below two (m, q) arrays
-    m, p, q, k = 300, 400, 512, 4
+CLASSIFY_M, CLASSIFY_Q = 300, 512
+
+
+def traced_ridge_classification():
+    """(dictionary, queries, codes, labels, tracemalloc peak in bytes) of
+    ``classify_codes`` on m = 300, p = 400, q = 512, k = 4 under ridge
+    coding."""
+    m, p, q, k = CLASSIFY_M, 400, CLASSIFY_Q, 4
     rng = np.random.default_rng(17)
     dic = build_dictionary(rng.standard_normal((m, p)), np.arange(p) % k, k)
     Xbar = np.asfortranarray(rng.standard_normal((m, q)))  # column-major, like a CSV block
@@ -404,6 +408,22 @@ def test_classify_codes_holds_one_residual_buffer():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 2 * m * q * 8
-    expected = [np.argmin(class_residuals(dic, Xbar[:, j], codes[:, j])) for j in range(q)]
+    return dic, Xbar, codes, labels, peak
+
+
+def test_classify_codes_holds_one_residual_buffer():
+    # one (m, q) buffer for every class's X_j c_j, and one for the gathered
+    # coefficients: the peak stays below two (m, q) arrays
+    dic, Xbar, codes, labels, peak = traced_ridge_classification()
+    assert peak < 2 * CLASSIFY_M * CLASSIFY_Q * 8
+    expected = [
+        np.argmin(class_residuals(dic, Xbar[:, j], codes[:, j])) for j in range(CLASSIFY_Q)
+    ]
     np.testing.assert_array_equal(labels, expected)
+
+
+def test_classify_codes_sums_coefficient_norms_in_place():
+    # the (m, q) buffer and the (p / k, q) gathered coefficients, and no
+    # squared copy of those coefficients beside them: 1.33 (m, q) arrays
+    *_, peak = traced_ridge_classification()
+    assert peak < 1.5 * CLASSIFY_M * CLASSIFY_Q * 8

@@ -70,3 +70,60 @@ def scipy_imports(src: Path) -> list:
 def test_no_module_imports_scipy():
     # numpy is the only dependency; scipy serves the tests alone
     assert scipy_imports(SRC) == []
+
+
+def _in_numpy_random(module: str) -> bool:
+    return module.split(".")[:2] == ["numpy", "random"]
+
+
+def numpy_random_uses(src: Path) -> list:
+    """``file:line`` of each reference to ``np.random`` or ``numpy.random``
+    in ``src/*.py``, and of each import of numpy.random (``from numpy import
+    random`` included), outside ``dataio.synth_subspaces``, the one place
+    numpy's generator serves."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            if path.stem == "dataio" and getattr(top, "name", None) == "synth_subspaces":
+                continue
+            for node in ast.walk(top):
+                if isinstance(node, ast.Attribute):
+                    hit = node.attr == "random" and getattr(node.value, "id", None) in ("np", "numpy")
+                elif isinstance(node, ast.Import):
+                    hit = any(_in_numpy_random(alias.name) for alias in node.names)
+                elif isinstance(node, ast.ImportFrom):
+                    module = node.module or ""
+                    hit = _in_numpy_random(module) or (
+                        module == "numpy" and any(alias.name == "random" for alias in node.names)
+                    )
+                elif (
+                    isinstance(node, ast.Call)
+                    and getattr(node.func, "id", getattr(node.func, "attr", None))
+                    in ("import_module", "__import__")
+                    and node.args
+                    and isinstance(node.args[0], ast.Constant)
+                ):
+                    hit = _in_numpy_random(str(node.args[0].value))
+                else:
+                    continue
+                if hit:
+                    found.append(f"{path.name}:{node.lineno}")
+    return found
+
+
+def test_only_synth_uses_numpy_random(tmp_path):
+    # the draws of cluster and bench come from the standard library's
+    # generator; loading numpy.random costs about 6 MiB of peak memory
+    assert numpy_random_uses(SRC) == []
+    planted = tmp_path / "planted.py"
+    planted.write_text(
+        "import numpy as np\n"
+        "import numpy.random\n"
+        "from numpy import random\n"
+        "from numpy.random import default_rng\n"
+        "def f():\n"
+        "    return np.random.default_rng(0), __import__('numpy.random')\n"
+        "def synth_subspaces():\n"
+        "    return np.random.default_rng(0)\n"
+    )
+    assert numpy_random_uses(tmp_path) == [f"planted.py:{line}" for line in (2, 3, 4, 6, 6, 8)]

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from oracles import all_partitions, wcss
 from subclust import sparse_coding, spectral
-from subclust.dataio import synth_subspaces
+from subclust.dataio import synth_subspaces, uniform_doubles
 from subclust.errors import DegenerateAffinityError
 from subclust.metrics import accuracy
 from subclust.sparse_coding import SparseSelfRepConfig, sparse_self_representation
@@ -280,6 +280,37 @@ def test_kmeans_handles_duplicate_points():
     out = kmeans(points, 3, seed=0)
     assert out.size == 6
     assert np.all((out >= 0) & (out < 3))
+
+
+# points on a line; with the first center at point 0 the D^2 weights are
+# [0, 1, 0, 4, 9, 0]: zero weight first, in the middle and last
+D2_POINTS = np.array([[0.0], [1.0], [0.0], [2.0], [3.0], [0.0]])
+
+
+def second_center(u):
+    """The second k-means++ center on D2_POINTS when the first draw picks
+    point 0 and the second is ``u``."""
+    return spectral._kmeans_pp_centers(D2_POINTS, 2, np.array([0.0, u]))[1, 0]
+
+
+def test_kmeans_pp_draw_frequencies_follow_squared_distance():
+    # the second draw of restart 0 at each of 20000 seeds; each value's
+    # count is Binomial(20000, w / 14), and the bounds sit at 5 sigma
+    seeds = 20_000
+    drawn = [
+        second_center(uniform_doubles(2, "kmeans", seed, 0)[1]) for seed in range(seeds)
+    ]
+    values, counts = np.unique(drawn, return_counts=True)
+    assert values.tolist() == [1.0, 2.0, 3.0]  # no point of zero weight
+    for count, weight in zip(counts, [1, 4, 9]):
+        share = weight / 14
+        assert abs(count - seeds * share) <= 5 * np.sqrt(seeds * share * (1 - share))
+
+
+def test_kmeans_pp_extreme_draws_pick_points_of_positive_weight():
+    assert second_center(0.0) == 1.0
+    assert second_center(1 / 14) == 2.0  # the first cumulative weight itself
+    assert second_center(np.nextafter(1.0, 0.0)) == 3.0
 
 
 # --- spectral_cluster -----------------------------------------------------------------
