@@ -302,24 +302,24 @@ def fit(cfg: RunConfig, data) -> Model:
         }
         converged = solution.report.converged
     labels = spectral.spectral_cluster(C, cfg.k, cfg.seed)
-    # the dictionary takes X itself, not a copy, unless columns are dropped
-    columns, column_labels = X, labels
+    # the dictionary takes X itself; a column it leaves out is labelled -1
+    column_labels = labels
     excluded: list = []
     if not sparse and out_of_sample.size:
-        # drop corrupted in-sample columns from the dictionary; the floor
+        # leave corrupted in-sample columns out of the dictionary; the floor
         # keeps solver noise from flagging columns on clean data
         floor = 1e-3 * float(np.median(np.linalg.norm(X, axis=0)))
         flagged = outlier_columns(solution.E, floor=floor)
         if 0 < flagged.size < p:
-            keep = np.setdiff1d(np.arange(p), flagged)
-            columns, column_labels = X[:, keep], labels[keep]
+            column_labels = labels.copy()
+            column_labels[flagged] = -1
             excluded = in_sample[flagged].tolist()
     t_insample = time.perf_counter()
 
     dictionary = None
     if out_of_sample.size:
         dictionary = oos.build_dictionary(
-            columns, column_labels, cfg.k,
+            X, column_labels, cfg.k,
             gamma=cfg.gamma,
             lasso_cfg=lasso_cfg if cfg.oos_coding == "sparse" else None,
         )

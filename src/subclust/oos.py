@@ -1,23 +1,22 @@
 """Out-of-sample assignment: code over the in-sample dictionary, then pick
 the class with the smallest reconstruction residual.
 
-The coding rule is fixed when the dictionary is built, and only what it
-uses is built. Ridge coding uses the closed form
-c = (X^T X + gamma I)^{-1} X^T x, cached as the projector
-W diag(s / (s^2 + gamma)) U^T from the thin SVD X = U diag(s) W^T. The SVD
-never forms X^T X, whose rounding would swamp a small gamma once X is large.
+The dictionary holds the in-sample columns once, as one (m, p) array D
+whose columns are sorted by class, so class j is the slice
+D[:, bounds[j]:bounds[j + 1]]; a column labelled -1 is left out of it.
+Codes come out in D's column order. The coding rule is fixed when the
+dictionary is built, and only what it uses is built. Ridge coding uses the
+closed form c = (D^T D + gamma I)^{-1} D^T x, cached as the projector
+W diag(s / (s^2 + gamma)) U^T from the thin SVD D = U diag(s) W^T. The SVD
+never forms D^T D, whose rounding would swamp a small gamma once D is large.
 Sparse coding delegates to the l1 solver (without any zero-diagonal
 constraint, since the query point is not in the dictionary) over a lasso
-dictionary whose Gram matrix and step bound are computed once. Ridge codes
-are classified by regularized residuals, sparse codes by plain ones. Each
-class residual ||v - X_j c_j|| is formed directly from the columns X_j of
-class j, which the dictionary keeps as one block per class. Under ridge
-coding those blocks are the only copy of the columns the dictionary holds,
-beside the projector; under sparse coding the lasso dictionary holds the
-whole (m, p) array as well. Classification writes every class's X_j c_j into
-one (m, q) buffer and gathers every class's coefficients into one more, both
-allocated once per block of queries; the residual and coefficient norms are
-summed in place, with no squared copy.
+dictionary on D itself, whose Gram matrix and step bound are computed once.
+Ridge codes are classified by regularized residuals, sparse codes by plain
+ones. Each class residual ||v - D_j c_j|| is formed from the slices of D
+and of the codes that belong to class j, written into one (m, q) buffer
+allocated once per block of queries; the residual and coefficient norms
+are summed in place, with no squared copy.
 """
 
 from __future__ import annotations
@@ -36,56 +35,47 @@ QUERY_CHUNK = 512
 
 @dataclass(frozen=True)
 class ClassDictionary:
-    """The columns of each of the k classes of the (m, p) in-sample data,
-    and what the coding rule uses: the ridge projector, or the lasso
-    dictionary with the l1 weight and stopping rule of sparse coding."""
+    """The in-sample columns ordered by class, class j the slice
+    ``D[:, bounds[j]:bounds[j + 1]]``, and what the coding rule uses: the
+    ridge projector, or the lasso dictionary over D with the l1 weight and
+    stopping rule of sparse coding."""
 
-    class_indices: tuple = field(repr=False)  # one per class, possibly empty
-    blocks: tuple = field(repr=False)  # X_j, the columns of class j
-    projector: np.ndarray | None = None  # (p, m), equals (X^T X + gamma I)^{-1} X^T
+    D: np.ndarray = field(repr=False)  # (m, p), columns sorted by class
+    bounds: np.ndarray  # (k + 1,): bounds[0] == 0, bounds[k] == p
+    projector: np.ndarray | None = None  # (p, m), equals (D^T D + gamma I)^{-1} D^T
     lasso: LassoDictionary | None = None
     lasso_cfg: SparseSelfRepConfig | None = None
-
-    @property
-    def shape(self) -> tuple:
-        """(m, p): the length of a query and of the dictionary's columns, and
-        the number of those columns, the length of a code."""
-        if self.lasso is not None:
-            return self.lasso.D.shape
-        return self.projector.shape[::-1]
 
 
 def build_dictionary(
     X, labels: np.ndarray, k: int, gamma: float = 1e-6,
     lasso_cfg: SparseSelfRepConfig | None = None,
 ) -> ClassDictionary:
-    """The class dictionary of ridge coding (the projector, from X's thin
+    """The class dictionary of ridge coding (the projector, from D's thin
     SVD) or, when ``lasso_cfg`` is given, of sparse coding under it.
 
-    ``labels`` gives each column of X its class in [0, k); a class may have
-    no columns, as when outlier exclusion has emptied it.
+    ``labels`` gives each column of X its class in [0, k), or -1 for a
+    column left out of the dictionary; a class may have no columns, as
+    when outlier exclusion has emptied it.
     """
     X = np.asarray(X, dtype=float)
     if labels.size != X.shape[1]:
         raise ValueError(f"{labels.size} labels for {X.shape[1]} dictionary columns")
-    class_indices = tuple(np.flatnonzero(labels == j) for j in range(k))
-    blocks = tuple(X[:, idx] for idx in class_indices)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.searchsorted(labels[order], np.arange(k + 1))
+    D = X[:, order[bounds[0] : bounds[k]]]
+    bounds -= bounds[0]
     if lasso_cfg is not None:
-        return ClassDictionary(
-            class_indices=class_indices, blocks=blocks,
-            lasso=lasso_dictionary(X), lasso_cfg=lasso_cfg,
-        )
-    U, s, Wt = np.linalg.svd(X, full_matrices=False)
-    return ClassDictionary(
-        class_indices=class_indices, blocks=blocks,
-        projector=(Wt.T * (s / (s * s + gamma))) @ U.T,
-    )
+        return ClassDictionary(D, bounds, lasso=lasso_dictionary(D), lasso_cfg=lasso_cfg)
+    U, s, Wt = np.linalg.svd(D, full_matrices=False)
+    return ClassDictionary(D, bounds, projector=(Wt.T * (s / (s * s + gamma))) @ U.T)
 
 
 def code_batch(dictionary: ClassDictionary, Xbar) -> np.ndarray:
-    """Coefficients of every query column, as a (p, n_queries) matrix."""
+    """Coefficients of every query column over the dictionary's columns, in
+    their class order, as a (p, n_queries) matrix."""
     V = np.asarray(Xbar, dtype=float)
-    m, p = dictionary.shape
+    m, p = dictionary.D.shape
     if V.ndim != 2 or V.shape[0] != m:
         raise ValueError(f"queries must be {m} x q, got shape {V.shape}")
     if dictionary.lasso is None:
@@ -110,14 +100,13 @@ def classify_codes(dictionary: ClassDictionary, Xbar, codes: np.ndarray) -> np.n
     q = V.shape[1]
     if q == 0:
         return np.empty(0, dtype=int)
-    residuals = np.full((len(dictionary.class_indices), q), np.inf)
-    # X_j c_j in V's memory order, so that R -= V walks both arrays alike
+    bounds = dictionary.bounds
+    residuals = np.full((bounds.size - 1, q), np.inf)
+    # D_j c_j in V's memory order, so that R -= V walks both arrays alike
     R = np.empty_like(V)
-    gathered = np.empty((max(idx.size for idx in dictionary.class_indices), q))
-    for j, (idx, block) in enumerate(zip(dictionary.class_indices, dictionary.blocks)):
-        # mode="clip" writes straight into out; the default buffers a copy
-        coeffs = np.take(codes, idx, axis=0, out=gathered[: idx.size], mode="clip")
-        np.matmul(block, coeffs, out=R)
+    for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        coeffs = codes[lo:hi]
+        np.matmul(dictionary.D[:, lo:hi], coeffs, out=R)
         R -= V
         res = np.sqrt(np.einsum("ij,ij->j", R, R))
         if dictionary.lasso is None:  # ridge coding: regularized residuals

@@ -287,18 +287,21 @@ class Assignment:
 def class_residuals(dictionary, xbar, cbar, regularized=True):
     """Reconstruction residual of the query per class.
 
-    Class j uses only the coefficients of its own columns. Regularized
+    ``cbar`` is in the dictionary's column order, and class j uses only the
+    coefficients of its own columns, ``bounds[j]:bounds[j + 1]``. Regularized
     residuals divide by the norm of those coefficients; a class with zero
     coefficient norm gets +inf there, so it can never win the argmin.
     """
     xbar = np.asarray(xbar, dtype=float).ravel()
     cbar = np.asarray(cbar, dtype=float).ravel()
-    p = dictionary.shape[1]
+    bounds = dictionary.bounds
+    p = dictionary.D.shape[1]
     if cbar.size != p:
         raise ValueError(f"code has length {cbar.size}, dictionary has {p} columns")
-    out = np.empty(len(dictionary.class_indices))
-    for j, (idx, block) in enumerate(zip(dictionary.class_indices, dictionary.blocks)):
-        coeffs = cbar[idx]
+    out = np.empty(bounds.size - 1)
+    for j, (lo, hi) in enumerate(zip(bounds[:-1], bounds[1:])):
+        coeffs = cbar[lo:hi]
+        block = dictionary.D[:, lo:hi]
         norm_j = float(np.linalg.norm(coeffs))
         res = float(np.linalg.norm(xbar - block @ coeffs))
         if regularized:

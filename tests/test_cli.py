@@ -1192,6 +1192,29 @@ def test_fit_builds_the_dictionary_on_the_in_sample_array_itself(monkeypatch, mo
     assert built[0] is solved[0]
 
 
+def test_fit_leaves_flagged_columns_out_of_the_dictionary():
+    # slrr flags the corrupted in-sample columns; fit labels them -1 rather
+    # than copying the others, and the dictionary is byte for byte the one
+    # built on the kept columns alone
+    dataset = dataio.synth_subspaces(
+        k=2, ambient=30, dim_per=[3, 3], points_per=[40, 40], corrupt_frac=0.1, seed=0,
+    )
+    cfg = RunConfig(algorithm="slrr", k=2, p=50, seed=0, input=None, output=None)
+    model = cli.fit(cfg, dataset.data)
+    excluded = model.excluded_columns
+    assert excluded and set(excluded) <= set(dataset.corrupted.tolist())
+    assert model.dictionary.bounds[-1] == model.in_sample.size - len(excluded)
+    X = dataset.data[:, model.in_sample]
+    keep = ~np.isin(model.in_sample, excluded)
+    marked_labels = np.where(keep, model.labels, -1)
+    marked = oos.build_dictionary(X, marked_labels, 2)
+    kept = oos.build_dictionary(X[:, keep], model.labels[keep], 2)
+    for name in ("D", "bounds", "projector"):
+        assert getattr(marked, name).tobytes() == getattr(kept, name).tobytes(), name
+    np.testing.assert_array_equal(model.dictionary.D, kept.D)
+    np.testing.assert_array_equal(model.dictionary.bounds, kept.bounds)
+
+
 @pytest.mark.parametrize("mode", cli.CODING_MODES)
 def test_assign_streams_blocks_like_one_batch(monkeypatch, mode):
     # a small block keeps the sparse case's per-query lassos few; assign

@@ -19,6 +19,12 @@ def orthonormal_dictionary(m=8, p=5, seed=0, k=2):
     return Q, np.arange(p) % k
 
 
+def class_order(labels):
+    """The column order of the dictionary built on ``labels``: sorted by
+    class, stably."""
+    return np.argsort(labels, kind="stable")
+
+
 def code_one(dic, xbar):
     """The code of one query point: ``code_batch`` on a one-column batch."""
     return code_batch(dic, np.asarray(xbar, dtype=float)[:, None])[:, 0]
@@ -35,7 +41,8 @@ def assign_all(dic, Xbar):
 def test_projector_approaches_transpose_for_orthonormal_columns():
     Q, labels = orthonormal_dictionary()
     dic = build_dictionary(Q, labels, 2, gamma=1e-10)
-    assert np.linalg.norm(dic.projector - Q.T) / np.linalg.norm(Q.T) <= 1e-6
+    D = Q[:, class_order(labels)]
+    assert np.linalg.norm(dic.projector - D.T) / np.linalg.norm(D.T) <= 1e-6
 
 
 def test_single_column_projector_closed_form():
@@ -54,37 +61,53 @@ def test_projector_satisfies_normal_equations():
     # X^T X + gamma I could not be computed
     for X in (X0, X0 * 1e5):
         dic = build_dictionary(X, labels, 3, gamma=1e-6)
-        lhs = (X.T @ X + 1e-6 * np.eye(30)) @ dic.projector
-        assert np.linalg.norm(lhs - X.T) / np.linalg.norm(X.T) <= 1e-8
+        D = X[:, class_order(labels)]
+        lhs = (D.T @ D + 1e-6 * np.eye(30)) @ dic.projector
+        assert np.linalg.norm(lhs - D.T) / np.linalg.norm(D.T) <= 1e-8
 
 
-def float_arrays(obj):
+def float_arrays(obj, seen=None):
     """Every float array reachable from ``obj`` through dataclass fields
-    and tuples."""
+    and tuples, each array object once."""
+    seen = set() if seen is None else seen
     if isinstance(obj, np.ndarray):
-        if obj.dtype.kind == "f":
+        if obj.dtype.kind == "f" and id(obj) not in seen:
+            seen.add(id(obj))
             yield obj
     elif isinstance(obj, tuple):
         for item in obj:
-            yield from float_arrays(item)
+            yield from float_arrays(item, seen)
     elif dataclasses.is_dataclass(obj):
         for f in dataclasses.fields(obj):
-            yield from float_arrays(getattr(obj, f.name))
+            yield from float_arrays(getattr(obj, f.name), seen)
 
 
-def test_ridge_dictionary_holds_its_columns_once():
-    # the class blocks and the (p, m) projector, and nothing else: no
-    # second copy of the (m, p) columns
-    m, p = 30, 45
-    X = np.random.default_rng(2).standard_normal((m, p))
-    labels = np.arange(p) % 3
-    dic = build_dictionary(X, labels, 3)
-    arrays = list(float_arrays(dic))
-    assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
-    assert sum(a.nbytes for a in arrays) == 2 * m * p * 8
-    for j, block in enumerate(dic.blocks):
-        np.testing.assert_array_equal(block, X[:, labels == j])
-    assert dic.shape == (m, p)
+@pytest.mark.parametrize("lasso_cfg", [None, SparseSelfRepConfig()], ids=["ridge", "sparse"])
+def test_ridge_dictionary_holds_its_columns_once(lasso_cfg):
+    # one class-ordered copy D of the kept columns, and beside it the (p, m)
+    # projector under ridge coding or the (p, p) Gram matrix of a lasso
+    # dictionary over D itself under sparse coding; class j is the slice
+    # bounds[j]:bounds[j + 1] of D. The second case has uneven classes, an
+    # empty class and columns labelled -1, left out.
+    rng = np.random.default_rng(2)
+    cases = [
+        (rng.standard_normal((30, 45)), np.arange(45) % 3),
+        (rng.standard_normal((5, 9)), np.array([2, -1, 0, 2, 0, -1, 2, 0, 0])),
+    ]
+    for X, labels in cases:
+        m, k, kept = X.shape[0], 3, int(np.sum(labels >= 0))
+        dic = build_dictionary(X, labels, k, lasso_cfg=lasso_cfg)
+        arrays = list(float_arrays(dic))
+        assert not any(np.shares_memory(a, b) for a, b in itertools.combinations(arrays, 2))
+        second = m * kept * 8 if lasso_cfg is None else kept * kept * 8
+        assert sum(a.nbytes for a in arrays) == m * kept * 8 + second
+        if lasso_cfg is not None:
+            assert dic.lasso.D is dic.D
+        bounds = dic.bounds
+        assert bounds.size == k + 1 and bounds[0] == 0 and bounds[-1] == kept
+        assert np.all(np.diff(bounds) >= 0)
+        for j in range(k):
+            np.testing.assert_array_equal(dic.D[:, bounds[j] : bounds[j + 1]], X[:, labels == j])
 
 
 def test_build_dictionary_validates():
@@ -105,8 +128,7 @@ def test_ridge_code_recovers_basis_vector():
     Q, labels = orthonormal_dictionary()
     dic = build_dictionary(Q, labels, 2, gamma=1e-6)
     c = code_one(dic, Q[:, 2])
-    expected = np.zeros(5)
-    expected[2] = 1.0
+    expected = (class_order(labels) == 2).astype(float)
     np.testing.assert_allclose(c, expected, atol=1e-4)
 
 
@@ -118,9 +140,10 @@ def test_ridge_code_random_probe_optimality():
     dic = build_dictionary(X, labels, 3, gamma=gamma)
     xbar = rng.standard_normal(20)
     c = code_one(dic, xbar)
+    D = X[:, class_order(labels)]
 
     def objective(v):
-        r = xbar - X @ v
+        r = xbar - D @ v
         return float(r @ r) + gamma * float(v @ v)
 
     base = objective(c)
@@ -162,7 +185,7 @@ def test_sparse_code_stays_in_subspace(monkeypatch):
     j = out_of_sample[0]
     c = code_one(dic, ds.data[:, j])
     own = ds.truth[j]
-    off_mass = np.abs(c[labels != own]).sum()
+    off_mass = np.abs(c[np.sort(labels) != own]).sum()
     assert off_mass <= 1e-4
 
 
@@ -186,7 +209,7 @@ def test_sparse_code_matches_oracle_objective(monkeypatch):
     cfg = SparseSelfRepConfig(lam=tau, delta=0.0, max_iterations=100_000)
     dic = build_dictionary(X, labels, 2, lasso_cfg=cfg)
     c = code_one(dic, xbar)
-    f_solver = lasso_objective(X, xbar, lam, c)
+    f_solver = lasso_objective(X[:, class_order(labels)], xbar, lam, c)
     f_oracle = qp_lasso(X, xbar, lam)
     assert abs(f_solver - f_oracle) <= 1e-9 * f_oracle
 
@@ -228,20 +251,6 @@ def test_residuals_perfect_reconstruction_is_zero():
     xbar = X[:, 0] * 0.5 - X[:, 1] * 0.25
     res = class_residuals(dic, xbar, cbar, regularized=False)
     assert res[0] == 0.0
-
-
-def test_class_masks_partition_coefficients():
-    rng = np.random.default_rng(7)
-    X = rng.standard_normal((5, 9))
-    labels = rng.integers(0, 3, 9)
-    dic = build_dictionary(X, labels, 3)
-    cbar = rng.standard_normal(9)
-    total = np.zeros(9)
-    for idx in dic.class_indices:
-        part = np.zeros(9)
-        part[idx] = cbar[idx]
-        total += part
-    np.testing.assert_array_equal(total, cbar)
 
 
 # --- batch assignment against the per-point oracle ----------------------------
@@ -300,12 +309,13 @@ def test_ridge_off_subspace_mass_small_and_residual_vanishes():
     j = out_of_sample[0]
     xbar = ds.data[:, j]
     own = ds.truth[j]
+    D = X[:, class_order(labels)]
     residuals = []
     for gamma in (1e-2, 1e-4, 1e-6):
         dic = build_dictionary(X, labels, 2, gamma=gamma)
         c = code_one(dic, xbar)
-        assert np.abs(c[labels != own]).sum() <= 1e-6
-        residuals.append(np.linalg.norm(xbar - X @ c))
+        assert np.abs(c[np.sort(labels) != own]).sum() <= 1e-6
+        residuals.append(np.linalg.norm(xbar - D @ c))
     assert all(b <= a for a, b in zip(residuals, residuals[1:]))
     assert residuals[-1] <= 1e-5
 
@@ -412,10 +422,10 @@ def traced_ridge_classification():
 
 
 def test_classify_codes_holds_one_residual_buffer():
-    # one (m, q) buffer for every class's X_j c_j, and one for the gathered
-    # coefficients: the peak stays below two (m, q) arrays
+    # one (m, q) buffer for every class's D_j c_j, and nothing the size of
+    # the coefficients: each class reads its slices of D and of the codes
     dic, Xbar, codes, labels, peak = traced_ridge_classification()
-    assert peak < 2 * CLASSIFY_M * CLASSIFY_Q * 8
+    assert peak < 1.1 * CLASSIFY_M * CLASSIFY_Q * 8
     expected = [
         np.argmin(class_residuals(dic, Xbar[:, j], codes[:, j])) for j in range(CLASSIFY_Q)
     ]
@@ -423,7 +433,7 @@ def test_classify_codes_holds_one_residual_buffer():
 
 
 def test_classify_codes_sums_coefficient_norms_in_place():
-    # the (m, q) buffer and the (p / k, q) gathered coefficients, and no
-    # squared copy of those coefficients beside them: 1.33 (m, q) arrays
+    # the (m, q) buffer, and no squared copy of a class's (p / k, q)
+    # coefficients beside it
     *_, peak = traced_ridge_classification()
     assert peak < 1.5 * CLASSIFY_M * CLASSIFY_Q * 8
