@@ -234,6 +234,13 @@ def _chunks(indices: np.ndarray) -> list:
     return [indices[s : s + oos.QUERY_CHUNK] for s in range(0, len(indices), oos.QUERY_CHUNK)]
 
 
+def _data_rows(columns: list) -> str:
+    """``columns`` of the data, at most ten of them, named as 1-based data rows."""
+    rows = sorted(c + 1 for c in columns)
+    more = f" and {len(rows) - 10} more" if len(rows) > 10 else ""
+    return f"data row(s) {', '.join(map(str, rows[:10]))}{more}"
+
+
 def _sample_size(cfg: RunConfig, n: int) -> int:
     """The p that ``cfg`` asks of n points; the usage and data errors that
     only need n."""
@@ -256,7 +263,8 @@ def fit(cfg: RunConfig, data) -> Model:
     """Sample p columns of the (m, n) ``data`` (see ``dataio.column_blocks``),
     cluster them and build the dictionary that the other n - p columns are
     assigned against. Only the p sampled columns are read, and the
-    ``--pca-energy`` projection is fitted on them alone."""
+    ``--pca-energy`` projection is fitted on them alone. Raises
+    DataFormatError when their sum of squares overflows."""
     sparse = cfg.algorithm in ("sssc", "ssc")
     # under slrr/lrr --lambda weighs the LRR error term, so sparse
     # out-of-sample coding takes the sssc default l1 weight instead
@@ -271,6 +279,11 @@ def fit(cfg: RunConfig, data) -> Model:
     t0 = time.perf_counter()
     in_sample, out_of_sample = dataio.uniform_split(n, p, cfg.seed)
     (X,) = dataio.column_blocks(data, [in_sample])
+    # the step bound ||X||_2^2, the Gram matrix and the ALM need ||X||_F^2 finite
+    flat = X.ravel(order="K")
+    with np.errstate(over="ignore"):  # the overflow is what is tested for
+        if not np.isfinite(np.dot(flat, flat)):
+            raise DataFormatError("the sum of squares of the in-sample data overflows; rescale the data")
     projection = None
     if cfg.pca_energy is not None:
         projection = dataio.pca_basis(X, cfg.pca_energy)
@@ -345,9 +358,11 @@ def assign(model: Model, values, columns: np.ndarray) -> tuple[np.ndarray, dict]
     ``coding`` and ``classifying`` seconds.
 
     Queries are read ``oos.QUERY_CHUNK`` columns at a time, so no code
-    matrix or copy of the queries larger than one block is formed. Columns
-    that no class can reconstruct are gathered over all blocks and raised
-    as one UnassignableSampleError, which names them as 1-based data rows.
+    matrix or copy of the queries larger than one block is formed. A block
+    with columns whose squared norm overflows raises DataFormatError, which
+    names them. Columns that no class can reconstruct are gathered over all
+    blocks and raised as one UnassignableSampleError. Both errors name the
+    columns as 1-based data rows.
     """
     seconds = {"coding": 0.0, "classifying": 0.0, "reading": 0.0}
     if model.dictionary is None:  # p = n leaves no point to assign
@@ -360,6 +375,11 @@ def assign(model: Model, values, columns: np.ndarray) -> tuple[np.ndarray, dict]
     for block in blocks:
         t_read = time.perf_counter()
         V = next(reader)
+        with np.errstate(over="ignore"):  # the overflow is what is tested for
+            overflows = ~np.isfinite(np.einsum("ij,ij->j", V, V))
+        if overflows.any():
+            rows = _data_rows(block[overflows].tolist())
+            raise DataFormatError(f"the squared norm of {rows} overflows; rescale the data")
         if model.projection is not None:
             V = dataio.project(V, model.projection)
         t0 = time.perf_counter()
@@ -374,51 +394,22 @@ def assign(model: Model, values, columns: np.ndarray) -> tuple[np.ndarray, dict]
         seconds["classifying"] += time.perf_counter() - t_coding
         s += block.size
     if bad:
-        rows = sorted(c + 1 for c in bad)  # columns of values are data rows
-        shown = ", ".join(map(str, rows[:10]))
-        more = f" and {len(rows) - 10} more" if len(rows) > 10 else ""
-        raise UnassignableSampleError(bad, where=f"data row(s) {shown}{more}")
+        raise UnassignableSampleError(bad, where=_data_rows(bad))
     return labels, seconds
-
-
-@dataclass
-class _SumOfSquaresChecked:
-    """The columns of ``data``, read through ``blocks``, checked as they come
-    that the sum of squares of every column read so far is finite: past
-    that no solver step is."""
-
-    data: object
-    sum_sq: float = 0.0
-
-    @property
-    def shape(self) -> tuple:
-        return self.data.shape
-
-    def blocks(self, wanted):
-        for V in dataio.column_blocks(self.data, wanted):
-            flat = V.ravel(order="K")
-            with np.errstate(over="ignore"):  # the overflow is what is tested for
-                self.sum_sq += np.dot(flat, flat)
-            if not np.isfinite(self.sum_sq):
-                raise DataFormatError("the sum of squares of the data overflows; rescale the data")
-            yield V
 
 
 def run_pipeline(cfg: RunConfig, data, truth: np.ndarray | None = None) -> RunReport:
     """Run the configured pipeline on the (m, n) ``data``: an in-memory
     array, or a ``dataio.CsvColumns`` whose rows are parsed as they are
     needed (see ``dataio.column_blocks``). ``fit`` on the in-sample points,
-    then ``assign`` on the rest, so every column is read, and its sum of
-    squares checked, exactly once. ``truth``, labels in [0, k) one per
-    column, is scored against when given."""
-    n = data.shape[1]
-    _sample_size(cfg, n)  # before any column is read
-    source = _SumOfSquaresChecked(data)
+    then ``assign`` on the rest, so every column is read exactly once.
+    ``truth``, labels in [0, k) one per column, is scored against when
+    given."""
     t0 = time.perf_counter()
-    model = fit(cfg, source)
+    model = fit(cfg, data)
     out = model.out_of_sample
-    labels_out, seconds = assign(model, source, out)
-    labels = np.empty(n, dtype=int)
+    labels_out, seconds = assign(model, data, out)
+    labels = np.empty(data.shape[1], dtype=int)
     labels[model.in_sample] = model.labels
     labels[out] = labels_out
     report = RunReport(

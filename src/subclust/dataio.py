@@ -10,6 +10,7 @@ synthetic generator uses numpy's Generator.
 
 from __future__ import annotations
 
+import codecs
 import contextlib
 import csv
 import itertools
@@ -139,9 +140,30 @@ def read_text(path) -> str:
     try:
         return Path(path).read_text(encoding="utf-8")
     except UnicodeDecodeError as exc:
-        raise DataFormatError(
-            f"{path}: byte {exc.start} is not UTF-8 text ({exc.reason})"
-        ) from None
+        raise _not_utf8(path, exc.start, exc.reason) from None
+
+
+def _not_utf8(path, offset: int, reason: str) -> DataFormatError:
+    return DataFormatError(f"{path}: byte {offset} is not UTF-8 text ({reason})")
+
+
+def _first_bad_byte(path) -> DataFormatError:
+    """The DataFormatError that names the first byte of ``path`` that is not
+    UTF-8, from a scan that holds one chunk of the file at a time."""
+    decoder = codecs.getincrementaldecoder("utf-8")()
+    offset = 0  # bytes before the chunk
+    with open(path, "rb") as fh:
+        while True:
+            chunk = fh.read(1 << 16)
+            try:
+                decoder.decode(chunk, final=not chunk)
+            except UnicodeDecodeError as exc:
+                # exc.object is the bytes the decoder held back, then the chunk
+                held = len(exc.object) - len(chunk)
+                return _not_utf8(path, offset - held + exc.start, exc.reason)
+            if not chunk:
+                return DataFormatError(f"{path}: the file changed while it was read")
+            offset += len(chunk)
 
 
 def _stamp(path: Path) -> tuple:
@@ -170,8 +192,7 @@ def _data_lines(path: Path, has_header: bool):
                 if start and (start not in ',"' or any(c.strip() for c in _cells(line))):
                     yield number, line
     except UnicodeDecodeError:
-        read_text(path)  # raises the DataFormatError that names the first bad byte
-        raise
+        raise _first_bad_byte(path) from None
 
 
 def _parse_rows(path: Path, rows: list, width: int) -> np.ndarray:
@@ -281,8 +302,7 @@ def uniform_split(n: int, p: int, seed: int) -> tuple[np.ndarray, np.ndarray]:
 
     The p indices are those of the p smallest of n draws of
     ``uniform_doubles(n, "uniform_split", seed)``, from the standard
-    library's generator; versions before it drew a numpy permutation, so
-    the sample at a given seed differs from theirs."""
+    library's generator."""
     if p < 1 or p > n:
         raise ValueError(f"p must satisfy 1 <= p <= n, got p={p}, n={n}")
     chosen = np.zeros(n, dtype=bool)

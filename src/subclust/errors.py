@@ -22,8 +22,8 @@ class UnassignableSampleError(SubclustError, RuntimeError):
     ``where`` names them in the message, by default as those columns.
     """
 
-    def __init__(self, columns=None, where=None):
-        self.columns = list(columns) if columns is not None else []
+    def __init__(self, columns, where=None):
+        self.columns = list(columns)
         if where is None:
-            where = f"column(s) {self.columns}" if self.columns else "the query point"
+            where = f"column(s) {self.columns}"
         super().__init__(f"no class produced a finite residual for {where}")

@@ -235,9 +235,8 @@ def kmeans(points: np.ndarray, k: int, seed: int) -> np.ndarray:
     Each restart takes its k draws from its own standard-library generator,
     keyed by ("kmeans", seed, restart) through ``dataio.uniform_doubles``,
     so the result does not depend on evaluation order and no restart shares
-    a stream with the split. Versions before it drew from numpy's
-    Generator, so labels at a given seed differ from theirs. Ties between
-    restarts go to the earlier restart.
+    a stream with the split. Ties between restarts go to the earlier
+    restart.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim != 2:

@@ -31,19 +31,22 @@ from subclust.sparse_coding import SNAP_TOL, soft_threshold
 from subclust.sparse_coding import SolverReport
 
 
-def lasso_objective(D, y, lam, c):
+def lasso_objective(D, y, tau, c):
+    """(1/2)||y - Dc||^2 + tau ||c||_1, the objective ``solve_lasso`` minimizes."""
     r = y - D @ c
-    return lam * float(r @ r) + float(np.abs(c).sum())
+    return 0.5 * float(r @ r) + tau * float(np.abs(c).sum())
 
 
-def qp_lasso(D, y, lam):
+def qp_lasso(D, y, tau):
     """Minimum of ``lasso_objective`` over c, from the bound-constrained QP
-    over u = (c+, c-) >= 0 with c = c+ - c-: lam ||y - D(c+ - c-)||^2 +
-    sum(u), a smooth objective whose exact gradient L-BFGS-B follows to
-    ftol 1e-15 and gtol 1e-13."""
+    over u = (c+, c-) >= 0 with c = c+ - c-. L-BFGS-B minimizes it divided
+    by tau, lam ||y - D(c+ - c-)||^2 + sum(u) with lam = 1/(2 tau), a
+    smooth objective whose exact gradient it follows to ftol 1e-15 and
+    gtol 1e-13."""
     D = np.asarray(D, dtype=float)
     y = np.asarray(y, dtype=float).ravel()
     A = np.hstack([D, -D])
+    lam = 1.0 / (2.0 * tau)
 
     def value_and_gradient(u):
         r = y - A @ u
@@ -54,7 +57,7 @@ def qp_lasso(D, y, lam):
         bounds=[(0.0, None)] * A.shape[1], options={"ftol": 1e-15, "gtol": 1e-13},
     ).x
     p = D.shape[1]
-    return lasso_objective(D, y, lam, u[:p] - u[p:])
+    return lasso_objective(D, y, tau, u[:p] - u[p:])
 
 
 def masked_kkt_violation(correlations, c, tau):
@@ -316,13 +319,13 @@ def assign(dictionary, xbar, regularized=True):
 
     Ties break toward the lowest class index. If every class residual is
     +inf (an all-zero code under regularized residuals), raises
-    UnassignableSampleError.
+    UnassignableSampleError for column 0, the one query.
     """
     xbar = np.asarray(xbar, dtype=float).ravel()
     cbar = dictionary.projector @ xbar
     residuals = class_residuals(dictionary, xbar, cbar, regularized)
     if not np.any(np.isfinite(residuals)):
-        raise UnassignableSampleError()
+        raise UnassignableSampleError([0])
     return Assignment(int(np.argmin(residuals)), residuals, cbar)
 
 

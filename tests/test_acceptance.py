@@ -181,14 +181,13 @@ def test_criterion_5_solver_oracles(monkeypatch):
         Ds = rng.standard_normal((B, 5, 8))
         ys = rng.standard_normal((B, 5))
         taus = 0.2 * np.max(np.abs(np.einsum("bmp,bm->bp", Ds, ys)), axis=1)
-        lams = 1.0 / (2.0 * taus)
         solver_objs = np.empty(B)
         monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-8)
         for i in range(B):
             cfg = SparseSelfRepConfig(lam=taus[i], delta=0.0, max_iterations=100_000)
             code = solve_lasso(lasso_dictionary(Ds[i]), ys[i], cfg)
-            solver_objs[i] = lasso_objective(Ds[i], ys[i], lams[i], code.coefficients)
-        oracle_objs = np.array([qp_lasso(Ds[i], ys[i], lams[i]) for i in range(B)])
+            solver_objs[i] = lasso_objective(Ds[i], ys[i], taus[i], code.coefficients)
+        oracle_objs = np.array([qp_lasso(Ds[i], ys[i], taus[i]) for i in range(B)])
         assert np.all(np.abs(solver_objs - oracle_objs) <= 1e-9 * oracle_objs)
 
         # (b) noise-free rank-r data: nuclear norm within 1% of r

@@ -479,25 +479,32 @@ def test_write_labels_writes_one_line_per_label(tmp_path):
     assert path.read_text() == "".join(f"{value}\n" for value in labels.tolist())
 
 
-@pytest.mark.parametrize("algorithm", ["sssc", "slrr"])
-def test_cluster_unassignable_point_names_its_data_row(tmp_path, capsys, algorithm):
-    # a zero row has a zero ridge code, so every regularized residual is +inf;
-    # at seed 0 the first out-of-sample point is data row 6 (1-based)
+def _cluster_with_data_row_6(tmp_path, capsys, algorithm, cell):
+    """(exit code, standard error, report path) of ``cluster`` on 60 points
+    whose 6th data row has every cell ``cell``. At seed 0 that row is the
+    first out-of-sample point."""
     data = tmp_path / "data.csv"
     assert run_cli(
         "synth", "--k", "2", "--ambient", "20", "--dims", "3,3",
         "--points", "30,30", "--seed", "0", "--out", str(data),
     ) == 0
     rows = data.read_text().splitlines()
-    rows[5] = ",".join(["0"] * 20)
+    rows[5] = ",".join([cell] * 20)
     data.write_text("\n".join(rows) + "\n")
     capsys.readouterr()
+    out = tmp_path / "x.json"
     rc = run_cli(
         "cluster", "--algorithm", algorithm, "--input", str(data),
-        "--k", "2", "--p", "30", "--seed", "0", "--output", str(tmp_path / "x.json"),
+        "--k", "2", "--p", "30", "--seed", "0", "--output", str(out),
     )
+    return rc, capsys.readouterr().err, out
+
+
+@pytest.mark.parametrize("algorithm", ["sssc", "slrr"])
+def test_cluster_unassignable_point_names_its_data_row(tmp_path, capsys, algorithm):
+    # a zero row has a zero ridge code, so every regularized residual is +inf
+    rc, err, _ = _cluster_with_data_row_6(tmp_path, capsys, algorithm, "0")
     assert rc == 2
-    err = capsys.readouterr().err
     assert err == "subclust: error: no class produced a finite residual for data row(s) 6\n"
 
 
@@ -535,6 +542,60 @@ def test_cluster_large_data_runs_at_default_gamma(tmp_path, algorithm):
     rc, out = _cluster_scaled_gaussian(tmp_path, algorithm, 1e5)
     assert rc == 0
     assert len(out.with_suffix(".labels").read_text().split()) == 40
+
+
+@pytest.mark.parametrize("algorithm", ["sssc", "slrr"])
+def test_overflow_refusal_does_not_depend_on_the_row_count(algorithm):
+    # each row's squared norm is 2.25e306: the p = 12 in-sample rows sum to
+    # a finite 2.7e307, while all 200 rows would sum past the float range,
+    # a total no step forms
+    lam = {"lam": 1e300} if algorithm == "sssc" else {}
+    cfg = RunConfig(
+        algorithm=algorithm, k=2, p=12, seed=0, delta=1e149, gamma=1e300,
+        input=None, output=None, **lam,
+    )
+    for n in (20, 200):
+        dataset = dataio.synth_subspaces(
+            k=2, ambient=10, dim_per=[2, 2], points_per=[n // 2, n // 2], seed=1
+        )
+        assert run_pipeline(cfg, dataset.data * 1.5e153, dataset.truth).accuracy == 1.0, n
+
+
+@pytest.mark.parametrize("algorithm", ["sssc", "slrr"])
+def test_fit_refuses_in_sample_points_whose_sum_of_squares_overflows(algorithm):
+    # each column's squared norm, 2.5e307, is finite; twenty of them are not
+    values = dataio.synth_subspaces(
+        k=2, ambient=10, dim_per=[2, 2], points_per=[20, 20], seed=1
+    ).data * 5e153
+    assert np.isfinite(np.einsum("ij,ij->j", values, values)).all()
+    cfg = RunConfig(algorithm=algorithm, k=2, p=20, seed=0, input=None, output=None)
+    with pytest.raises(DataFormatError, match="sum of squares"):
+        cli.fit(cfg, values)
+
+
+@pytest.mark.parametrize("algorithm", ["sssc", "slrr"])
+def test_cluster_query_row_whose_squared_norm_overflows_is_data_error(tmp_path, capsys, algorithm):
+    # the in-sample rows are well scaled, so fit runs and assign refuses the row
+    rc, err, out = _cluster_with_data_row_6(tmp_path, capsys, algorithm, "1e200")
+    assert rc == 2
+    assert err == (
+        "subclust: data error: the squared norm of data row(s) 6 overflows; rescale the data\n"
+    )
+    assert not out.exists()
+    assert not out.with_suffix(".labels").exists()
+
+
+def test_assign_refuses_query_rows_whose_squared_norm_overflows():
+    # bench's repeats call assign directly, on a model fitted on other rows
+    model, values = _fitted("ridge", 2 * oos.QUERY_CHUNK + 7)
+    out = model.out_of_sample
+    scaled = [oos.QUERY_CHUNK, oos.QUERY_CHUNK + 3]  # two rows of the second block
+    values = values.copy()
+    values[:, out[scaled]] = 1e200
+    with pytest.raises(DataFormatError) as err:
+        cli.assign(model, values, out)
+    rows = ", ".join(str(c + 1) for c in out[scaled])
+    assert str(err.value) == f"the squared norm of data row(s) {rows} overflows; rescale the data"
 
 
 @pytest.mark.parametrize("dims", ["4,4", "3,5"])
@@ -1352,6 +1413,26 @@ def test_cluster_memory_does_not_grow_with_the_number_of_rows(tmp_path):
         assert rc == 0
         path.unlink()
     assert peaks[25_000] <= 1.25 * peaks[5_000], peaks
+
+
+@pytest.mark.skipif(not Path("/proc/self/status").exists(), reason="reads VmHWM from /proc")
+def test_non_utf8_error_memory_does_not_grow_with_the_file_size(tmp_path):
+    # the bad byte ends the file, so the scan that counts the rows meets it
+    # last; reading the whole file to name it costs about 3 bytes a byte,
+    # some 33 MiB more on the larger file, which is 11.4 MiB
+    line = ",".join(["0.125"] * 100).encode() + b"\n"
+    peaks = {}
+    for n in (1_000, 20_000):
+        path = tmp_path / f"bad-{n}.csv"
+        path.write_bytes(line * n + b"\xff\n")
+        stdout = _fresh_python(
+            PEAK_MEMORY_CHILD, "cluster", "--algorithm", "sssc", "--input", str(path),
+            "--k", "2", "--p", "10", "--seed", "0", "--output", str(tmp_path / f"bad-{n}.json"),
+        )
+        rc, peaks[n] = map(int, stdout.splitlines()[-1].split())
+        assert rc == 2
+        path.unlink()
+    assert peaks[20_000] <= 1.1 * peaks[1_000], peaks
 
 
 # --- eval ---------------------------------------------------------------------

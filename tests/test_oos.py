@@ -204,13 +204,12 @@ def test_sparse_code_matches_oracle_objective(monkeypatch):
     labels = np.arange(8) % 2
     xbar = rng.standard_normal(5)
     tau = 0.2 * np.max(np.abs(X.T @ xbar))
-    lam = 1.0 / (2.0 * tau)
     monkeypatch.setattr(sparse_coding, "KKT_TOL", 1e-8)
     cfg = SparseSelfRepConfig(lam=tau, delta=0.0, max_iterations=100_000)
     dic = build_dictionary(X, labels, 2, lasso_cfg=cfg)
     c = code_one(dic, xbar)
-    f_solver = lasso_objective(X[:, class_order(labels)], xbar, lam, c)
-    f_oracle = qp_lasso(X, xbar, lam)
+    f_solver = lasso_objective(X[:, class_order(labels)], xbar, tau, c)
+    f_oracle = qp_lasso(X, xbar, tau)
     assert abs(f_solver - f_oracle) <= 1e-9 * f_oracle
 
 

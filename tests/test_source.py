@@ -127,3 +127,26 @@ def test_only_synth_uses_numpy_random(tmp_path):
         "    return np.random.default_rng(0)\n"
     )
     assert numpy_random_uses(tmp_path) == [f"planted.py:{line}" for line in (2, 3, 4, 6, 6, 8)]
+
+
+def read_text_callers(src: Path) -> list:
+    """``module.function`` of each top-level function of ``src/*.py`` that
+    calls ``dataio.read_text``, which holds a whole file in memory: by that
+    name in dataio, as ``dataio.read_text`` elsewhere."""
+    found = []
+    for path in sorted(src.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                fn = node.func
+                local = path.stem == "dataio" and getattr(fn, "id", None) == "read_text"
+                qualified = getattr(fn, "attr", None) == "read_text" and getattr(fn.value, "id", None) == "dataio"
+                if local or qualified:
+                    found.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    return found
+
+
+def test_only_label_and_config_files_are_read_whole():
+    # a CSV is never held whole, not even to name its first byte that is not UTF-8
+    assert read_text_callers(SRC) == ["cli._merge_config", "dataio.load_labels"]

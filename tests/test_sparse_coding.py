@@ -98,15 +98,14 @@ def test_single_column_least_squares():
     assert code.coefficients[0] == pytest.approx(2.0, abs=1e-4)
 
 
-def test_objective_matches_subgradient_oracle():
+def test_objective_matches_qp_oracle():
     rng = np.random.default_rng(42)
     D = rng.standard_normal((5, 8))
     y = rng.standard_normal(5)
     tau = 0.2 * np.max(np.abs(D.T @ y))
-    lam = 1.0 / (2.0 * tau)
     code = solve_lasso(lasso_dictionary(D), y, strict_cfg(tau))
-    f_solver = lasso_objective(D, y, lam, code.coefficients)
-    f_oracle = qp_lasso(D, y, lam)
+    f_solver = lasso_objective(D, y, tau, code.coefficients)
+    f_oracle = qp_lasso(D, y, tau)
     # the oracle is exact within rounding, so the two agree both ways
     assert abs(f_solver - f_oracle) <= 1e-9 * f_oracle
 
